@@ -41,11 +41,9 @@ from .models import (
     IndependentBitsModel,
     MajorityVoteModel,
     exact_window_joint,
-    generating_bits_count,
     majority,
     majority_block_distribution,
     model_from_json,
-    model_to_json,
     sample_matrix,
     sample_prefix,
 )

@@ -8,17 +8,21 @@ digits are therefore correct no matter how the undetermined tail resolves.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import EnumerationBoundError, UnitMismatchError
+from .errors import DepthBeyondKnowledgeError, EnumerationBoundError, UnitMismatchError
 from .models import BitPrefix, IndependentBitsModel, SampleMatrix
 from .propensity import TailPolicy
 
 EXACT_ENUMERATION_MAX_DEPTH = 20
+
+DIGIT_PAIR_POSITIONS = (1, 2, 3, 4)
 
 
 @dataclass(frozen=True)
@@ -124,20 +128,6 @@ def digits_of_rational(z: Fraction, n_frac: int) -> tuple[int, tuple[int, ...]]:
     return int_part, tuple(bits)
 
 
-def _head_weights(pv, depth: int) -> tuple[list[Fraction], int]:
-    """Exact weight of each head of explicit-prefix bits; tail bits are fair."""
-    m = min(pv.prefix_length, depth)
-    weights = []
-    for head in range(1 << m):
-        w = Fraction(1)
-        for j in range(m):
-            bit = (head >> (m - 1 - j)) & 1
-            q = pv.prefix[j]
-            w *= q if bit else 1 - q
-        weights.append(w)
-    return weights, m
-
-
 def scaled_digit_table(c: Fraction, depth: int) -> list[DeterminedDigits]:
     """Determined digits of c * [v/2^d, (v+1)/2^d) for every prefix value v."""
     c = Fraction(c)
@@ -155,6 +145,45 @@ def scaled_digit_table(c: Fraction, depth: int) -> list[DeterminedDigits]:
     return table
 
 
+def digit_law(table: Sequence[DeterminedDigits], weights: Iterable) -> dict:
+    """Total weight of each entry of a ``scaled_digit_table``.
+
+    ``weights[v]`` weighs prefix value v: an exact Fraction or a Python-int
+    count.  Zero weights are skipped, and entries keep the order of their
+    first prefix value.
+    """
+    law: dict = {}
+    for dd, w in zip(table, weights, strict=True):
+        if w:
+            law[dd] = law.get(dd, 0) + w
+    return law
+
+
+def digit_joint(law: Mapping[DeterminedDigits, object], positions: Sequence[int]) -> dict:
+    """Joint weight of the fraction digits at the 1-based ``positions``.
+
+    An entry contributes only when its integer part and its fraction digits
+    up to max(positions) are determined; undetermined entries are excluded,
+    so the joint may total less than the law.
+    """
+    last = max(positions)
+    joint: dict = {}
+    for dd, w in law.items():
+        if dd.integer_part is None or len(dd.fraction_bits) < last:
+            continue
+        key = tuple(dd.fraction_bits[p - 1] for p in positions)
+        joint[key] = joint.get(key, 0) + w
+    return joint
+
+
+def digit_pair_joints(
+    law: Mapping[DeterminedDigits, object],
+    positions: Sequence[int] = DIGIT_PAIR_POSITIONS,
+) -> dict[tuple[int, int], dict]:
+    """``digit_joint`` of every pair i < j of the designated positions."""
+    return {pair: digit_joint(law, pair) for pair in itertools.combinations(positions, 2)}
+
+
 def scale_fiq_truncated(
     model: IndependentBitsModel,
     c: Fraction,
@@ -167,24 +196,21 @@ def scale_fiq_truncated(
     undetermined tail beyond d is carried by the interval itself.
     """
     if not isinstance(model, IndependentBitsModel):
-        raise TypeError("exact scaling is defined for independent-bit models only")
+        raise ValueError("exact scaling is defined for independent-bit models only")
     pv = model.pv
     if pv.tail is TailPolicy.UNSPECIFIED and depth > pv.prefix_length:
-        # propensity_at would be undefined beyond the prefix
-        from .errors import DepthBeyondKnowledgeError
-
         raise DepthBeyondKnowledgeError(
             f"depth {depth} exceeds prefix length {pv.prefix_length} with unspecified tail"
         )
     table = scaled_digit_table(c, depth)
-    head_weights, m = _head_weights(pv, depth)
-    tail_weight = Fraction(1, 1 << (depth - m))
-    dist: dict[DeterminedDigits, Fraction] = {}
-    for v, dd in enumerate(table):
-        w = head_weights[v >> (depth - m)] * tail_weight if depth > m else head_weights[v]
-        if w:
-            dist[dd] = dist.get(dd, Fraction(0)) + w
-    return dist
+    # weight of every prefix value as an integer over the common denominator
+    weights = [1]
+    denominator = 1
+    for position in range(1, depth + 1):
+        a, b = pv.propensity_at(position).as_integer_ratio()
+        weights = [w * bit for w in weights for bit in (b - a, a)]
+        denominator *= b
+    return {dd: Fraction(w, denominator) for dd, w in digit_law(table, weights).items()}
 
 
 def prefix_values(sample: SampleMatrix) -> np.ndarray:
@@ -192,3 +218,8 @@ def prefix_values(sample: SampleMatrix) -> np.ndarray:
     d = sample.depth
     powers = (1 << np.arange(d - 1, -1, -1)).astype(np.int64)
     return sample.bits.astype(np.int64) @ powers
+
+
+def prefix_counts(sample: SampleMatrix) -> list[int]:
+    """Number of rows at each prefix value 0 .. 2^d - 1, as Python ints."""
+    return np.bincount(prefix_values(sample), minlength=1 << sample.depth).tolist()

@@ -16,19 +16,13 @@ import json
 import os
 import sys
 import tempfile
-from fractions import Fraction
 from pathlib import Path
 
 from .errors import FiqError
 from .estimators import correlation_report, info_report
 from .experiments import RUNNERS, ExperimentSpec, preset_spec
-from .arithmetic import prefix_values, scale_fiq_truncated, scaled_digit_table
-from .models import (
-    IndependentBitsModel,
-    model_from_json,
-    model_to_json,
-    sample_matrix,
-)
+from .arithmetic import digit_law, prefix_counts, scale_fiq_truncated, scaled_digit_table
+from .models import model_from_json, sample_matrix
 from .rational import format_rational, parse_rational
 
 EXIT_OK = 0
@@ -84,10 +78,6 @@ def _seed_arg(value: str) -> int:
     return seed
 
 
-def _rational_arg(value: str) -> Fraction:
-    return parse_rational(value)
-
-
 def _add_model_flags(p: argparse.ArgumentParser, need_seed: bool = True) -> None:
     p.add_argument("--model", required=True, help="model JSON file or inline JSON")
     p.add_argument("--seed", type=_seed_arg, required=need_seed,
@@ -117,7 +107,7 @@ def cmd_measure(args) -> int:
     doc = {
         "config": {
             "command": "measure",
-            "model": model_to_json(model),
+            "model": model.to_json(),
             "depth": args.depth,
             "samples": args.samples,
             "seed": args.seed,
@@ -145,42 +135,30 @@ def cmd_arith(args) -> int:
         stream=args.stream,
     )
     if args.mode == "exact":
-        if not isinstance(model, IndependentBitsModel):
-            raise FiqError("exact mode needs an independent-bit model")
-        dist = scale_fiq_truncated(model, args.constant, args.depth)
-        entries = [
-            {
-                "int": dd.integer_part,
-                "frac": "".join(str(b) for b in dd.fraction_bits),
-                "prob": format_rational(w),
-            }
-            for dd, w in dist.items()
-        ]
+        law = scale_fiq_truncated(model, args.constant, args.depth)
+        prob = format_rational
     else:
         if args.seed is None:
             raise FiqError("--seed is required in sample mode")
-        import numpy as np
-
         s = sample_matrix(model, args.depth, args.samples, threads=args.threads)
-        table = scaled_digit_table(args.constant, args.depth)
-        counts = np.bincount(prefix_values(s), minlength=1 << args.depth)
-        agg: dict = {}
-        for v, c in enumerate(counts):
-            if c:
-                agg[table[v]] = agg.get(table[v], 0) + int(c)
-        entries = [
-            {
-                "int": dd.integer_part,
-                "frac": "".join(str(b) for b in dd.fraction_bits),
-                "prob": c / args.samples,
-            }
-            for dd, c in agg.items()
-        ]
+        law = digit_law(scaled_digit_table(args.constant, args.depth), prefix_counts(s))
+
+        def prob(count: int) -> float:
+            return count / args.samples
+
+    entries = [
+        {
+            "int": dd.integer_part,
+            "frac": "".join(str(b) for b in dd.fraction_bits),
+            "prob": prob(w),
+        }
+        for dd, w in law.items()
+    ]
     entries.sort(key=lambda e: (e["int"] is None, e["int"], e["frac"]))
     doc = {
         "config": {
             "command": "arith",
-            "model": model_to_json(model),
+            "model": model.to_json(),
             "constant": format_rational(args.constant),
             "depth": args.depth,
             "mode": args.mode,
@@ -244,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("arith", help="determined digits of a scaled quantity")
     _add_model_flags(p, need_seed=False)
-    p.add_argument("--constant", type=_rational_arg, required=True, help='rational "p/q"')
+    p.add_argument("--constant", type=parse_rational, required=True, help='rational "p/q"')
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--mode", choices=("exact", "sample"), default="exact")
     p.add_argument("--samples", type=int, default=10_000)

@@ -52,7 +52,10 @@ def entropy_from_dist(dist: Mapping) -> float:
 
 
 def mi_from_joint(joint: Mapping[tuple, object]) -> float:
-    """Mutual information in bits of a joint law over pairs (x, y)."""
+    """Mutual information in bits of a joint law over pairs (x, y).
+
+    An empty or single-cell joint has MI exactly 0.
+    """
     total = float(sum(joint.values()))
     px: dict = {}
     py: dict = {}
@@ -69,7 +72,10 @@ def mi_from_joint(joint: Mapping[tuple, object]) -> float:
 
 
 def joint_is_independent(joint: Mapping[tuple, object]) -> bool:
-    """Exact product-form check; meaningful when weights are rationals."""
+    """Exact product-form check; meaningful when weights are rationals.
+
+    An empty joint counts as independent.
+    """
     total = sum(joint.values())
     px: dict = {}
     py: dict = {}
@@ -247,12 +253,15 @@ class EntropyRateEstimate:
 
 
 def entropy_rate(s: SampleMatrix, l_max: int) -> EntropyRateEstimate:
-    """Conditional-entropy estimate of the per-bit information production."""
-    if l_max < 2:
-        raise ValueError("l_max must be >= 2")
+    """Conditional-entropy estimate of the per-bit information production.
+
+    H_0 = 0, so with ``l_max`` = 1 the rate is H_1.
+    """
+    if l_max < 1:
+        raise ValueError("l_max must be >= 1")
     hs = [block_entropy(s, L).value for L in range(1, l_max + 1)]
     return EntropyRateEstimate(
-        rate=hs[-1] - hs[-2],
+        rate=hs[-1] - (hs[-2] if l_max > 1 else 0.0),
         block_entropies=hs,
         per_bit_entropies=[h / (L + 1) for L, h in enumerate(hs)],
     )

@@ -20,42 +20,42 @@ identical verdict.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import Mapping
 
 from .arithmetic import (
-    DeterminedDigits,
+    DIGIT_PAIR_POSITIONS,
+    digit_joint,
+    digit_law,
+    digit_pair_joints,
     digits_of_rational,
-    prefix_values,
+    prefix_counts,
     scale_fiq_truncated,
     scaled_digit_table,
 )
 from .estimators import (
     correlated_info_content,
+    correlated_info_from_dist,
     joint_is_independent,
     mi_from_joint,
     mi_noise_floor,
+    pairwise_joint_counts,
 )
 from .models import (
     FiqModel,
     IndependentBitsModel,
     MajorityVoteModel,
     exact_window_joint,
-    generating_bits_count,
     model_from_json,
-    model_to_json,
+    require_fields,
     sample_matrix,
+    sample_prefix,
 )
 from .propensity import HALF, PropensityVector
 from .randombits import RandomBitSource
 from .rational import format_rational, parse_rational
-
-DIGIT_PAIR_POSITIONS = (1, 2, 3, 4)
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ class ExperimentSpec:
     def to_json(self) -> dict:
         doc = {
             "name": self.name,
-            "model": model_to_json(self.model),
+            "model": self.model.to_json(),
             "depth": self.depth,
             "samples": self.samples,
             "seed": self.seed,
@@ -91,6 +91,7 @@ class ExperimentSpec:
 
     @classmethod
     def from_json(cls, data: Mapping, seed: int | None = None) -> "ExperimentSpec":
+        require_fields(data, "experiment spec", "name", "model", "depth", "samples")
         use_seed = seed if seed is not None else data.get("seed")
         if use_seed is None:
             raise ValueError("experiment spec carries no seed and none was supplied")
@@ -151,51 +152,6 @@ def _is_power_of_two(c: Fraction) -> bool:
     return n & (n - 1) == 0 and d & (d - 1) == 0
 
 
-def digit_pair_joints_exact(
-    dist: Mapping[DeterminedDigits, Fraction],
-    positions: Sequence[int] = DIGIT_PAIR_POSITIONS,
-) -> dict[tuple[int, int], dict[tuple[int, int], Fraction]]:
-    """Unconditional joint weight of each designated digit pair.
-
-    A realization contributes to pair (i, j) only when its integer part and
-    fractional digits up to j are determined; undetermined realizations are
-    excluded, so each pair joint may sum to less than one.
-    """
-    joints: dict[tuple[int, int], dict[tuple[int, int], Fraction]] = {}
-    for i, j in itertools.combinations(positions, 2):
-        joint: dict[tuple[int, int], Fraction] = {}
-        for dd, w in dist.items():
-            if dd.integer_part is None or len(dd.fraction_bits) < j:
-                continue
-            key = (dd.fraction_bits[i - 1], dd.fraction_bits[j - 1])
-            joint[key] = joint.get(key, Fraction(0)) + w
-        joints[(i, j)] = joint
-    return joints
-
-
-def _digit_pair_counts(
-    table: list[DeterminedDigits],
-    counts_v: np.ndarray,
-    positions: Sequence[int] = DIGIT_PAIR_POSITIONS,
-) -> dict[tuple[int, int], dict[tuple[int, int], int]]:
-    joints: dict[tuple[int, int], dict[tuple[int, int], int]] = {
-        pair: {} for pair in itertools.combinations(positions, 2)
-    }
-    for v, c in enumerate(counts_v):
-        c = int(c)
-        if c == 0:
-            continue
-        dd = table[v]
-        if dd.integer_part is None:
-            continue
-        for (i, j), joint in joints.items():
-            if len(dd.fraction_bits) < j:
-                continue
-            key = (dd.fraction_bits[i - 1], dd.fraction_bits[j - 1])
-            joint[key] = joint.get(key, 0) + c
-    return joints
-
-
 def _cell_agreement_z(
     exact_joint: Mapping[tuple[int, int], Fraction],
     count_joint: Mapping[tuple[int, int], int],
@@ -233,31 +189,20 @@ def run_units_critique(spec: ExperimentSpec) -> ExperimentVerdict:
     biased = any(q != HALF for q in model.pv.prefix)
     expect_correlation = biased and not _is_power_of_two(c)
 
-    dist = scale_fiq_truncated(model, c, spec.depth)
-    exact_joints = digit_pair_joints_exact(dist)
-    exact_mi = {pair: mi_from_joint(j) if j else 0.0 for pair, j in exact_joints.items()}
-    exact_indep = {pair: (not j) or joint_is_independent(j) for pair, j in exact_joints.items()}
-
-    claims: list[Claim] = []
-    if expect_correlation:
-        claims.append(Claim(
-            statement="exact enumeration: at least one designated digit pair is correlated",
-            passed=not all(exact_indep.values()),
-            exact_value=max(exact_mi.values()),
-            threshold=0.0,
-        ))
-    else:
-        claims.append(Claim(
-            statement="exact enumeration: all designated digit pairs are independent (control)",
-            passed=all(exact_indep.values()),
-            exact_value=max(exact_mi.values()),
-            threshold=0.0,
-        ))
+    exact_joints = digit_pair_joints(scale_fiq_truncated(model, c, spec.depth))
+    exact_mi = {pair: mi_from_joint(j) for pair, j in exact_joints.items()}
+    exact_indep = {pair: joint_is_independent(j) for pair, j in exact_joints.items()}
+    claims = [Claim(
+        statement="exact enumeration: at least one designated digit pair is correlated"
+        if expect_correlation else
+        "exact enumeration: all designated digit pairs are independent (control)",
+        passed=all(exact_indep.values()) != expect_correlation,
+        exact_value=max(exact_mi.values()),
+        threshold=0.0,
+    )]
 
     sample = sample_matrix(model, spec.depth, spec.samples, threads=spec.threads)
-    table = scaled_digit_table(c, spec.depth)
-    counts_v = np.bincount(prefix_values(sample), minlength=1 << spec.depth)
-    count_joints = _digit_pair_counts(table, counts_v)
+    count_joints = digit_pair_joints(digit_law(scaled_digit_table(c, spec.depth), prefix_counts(sample)))
 
     worst_z = 0.0
     cells_ok = True
@@ -273,10 +218,7 @@ def run_units_critique(spec: ExperimentSpec) -> ExperimentVerdict:
     ))
 
     floor = mi_noise_floor(spec.samples)
-    emp_mi = {}
-    for pair, joint in count_joints.items():
-        n_incl = sum(joint.values())
-        emp_mi[pair] = mi_from_joint(joint) if n_incl and len(joint) > 1 else 0.0
+    emp_mi = {pair: mi_from_joint(j) for pair, j in count_joints.items()}
     if expect_correlation:
         target = max(exact_mi, key=lambda p: exact_mi[p])
         claims.append(Claim(
@@ -326,8 +268,6 @@ def consumed_source_indices(model: FiqModel, depth: int) -> set[int]:
         seed=model.source.seed, bias=model.source.bias, stream_id=model.source.stream_id
     )
     instrumented = replace(model, source=recorder)
-    from .models import sample_prefix
-
     sample_prefix(instrumented, depth)
     consumed: set[int] = set()
     for first, count in recorder.requests:
@@ -361,12 +301,7 @@ def run_majority_study(spec: ExperimentSpec) -> ExperimentVerdict:
     # (ii) adjacent-bit joint matches the exact enumeration
     adj_exact = exact_window_joint(k, bias, [1, 2])
     adj_mi_exact = mi_from_joint(adj_exact)
-    adj_counts = {}
-    codes = sample.bits[:, 0].astype(np.int64) * 2 + sample.bits[:, 1]
-    binc = np.bincount(codes, minlength=4)
-    for a in (0, 1):
-        for b in (0, 1):
-            adj_counts[(a, b)] = int(binc[2 * a + b])
+    adj_counts = pairwise_joint_counts(sample, 0, 1)
     z_adj, cells_ok = _cell_agreement_z(adj_exact, adj_counts, n)
     adj_mi_emp = mi_from_joint(adj_counts)
     floor = mi_noise_floor(n)
@@ -387,10 +322,7 @@ def run_majority_study(spec: ExperimentSpec) -> ExperimentVerdict:
     # (iii) bits at distance >= k are exactly and empirically independent
     if spec.depth > k + 1:
         far_exact = exact_window_joint(k, bias, [1, 1 + k])
-        far_codes = sample.bits[:, 0].astype(np.int64) * 2 + sample.bits[:, k]
-        far_binc = np.bincount(far_codes, minlength=4)
-        far_counts = {(a, b): int(far_binc[2 * a + b]) for a in (0, 1) for b in (0, 1)}
-        far_mi = mi_from_joint(far_counts)
+        far_mi = mi_from_joint(pairwise_joint_counts(sample, 0, k))
         claims.append(Claim(
             statement=f"bits at distance {k} are independent (disjoint windows)",
             passed=joint_is_independent(far_exact) and far_mi <= floor,
@@ -403,7 +335,7 @@ def run_majority_study(spec: ExperimentSpec) -> ExperimentVerdict:
     count_ok = True
     for d in range(1, spec.depth + 1):
         expected = d + k - 1
-        if generating_bits_count(model, d) != expected:
+        if model.generating_bits(d) != expected:
             count_ok = False
         consumed = consumed_source_indices(model, d)
         if consumed != set(range(1, expected + 1)):
@@ -445,15 +377,16 @@ def run_units_on_majority(spec: ExperimentSpec) -> ExperimentVerdict:
     c = spec.constant
     sample = sample_matrix(model, spec.depth, spec.samples, threads=spec.threads)
     table = scaled_digit_table(c, spec.depth)
-    values = prefix_values(sample)
-    counts_v = np.bincount(values, minlength=1 << spec.depth)
+    counts = prefix_counts(sample)
 
     # soundness check on every realized prefix value
     step = Fraction(1, 1 << spec.depth)
     sound = True
-    for v in np.nonzero(counts_v)[0]:
-        dd = table[int(v)]
-        low = int(v) * step
+    for v, count in enumerate(counts):
+        if not count:
+            continue
+        dd = table[v]
+        low = v * step
         for point in (c * low, c * (low + step / 3), c * (low + step - step / 1000)):
             int_part, frac = digits_of_rational(point, len(dd.fraction_bits))
             if dd.integer_part is not None and (int_part != dd.integer_part or frac != dd.fraction_bits):
@@ -469,12 +402,10 @@ def run_units_on_majority(spec: ExperimentSpec) -> ExperimentVerdict:
     # correlation structure and candidate measures before/after scaling
     d_in = min(spec.depth, 8)
     before = correlated_info_content(sample, d_in)
-    count_joints = _digit_pair_counts(table, counts_v)
+    law = digit_law(table, counts)
+    count_joints = digit_pair_joints(law)
     floor = mi_noise_floor(spec.samples)
-    out_mi = {
-        pair: (mi_from_joint(j) if sum(j.values()) and len(j) > 1 else 0.0)
-        for pair, j in count_joints.items()
-    }
+    out_mi = {pair: mi_from_joint(j) for pair, j in count_joints.items()}
     tables = {
         "candidate_measures": [
             {"stage": "input", **before.to_jsonable()},
@@ -485,19 +416,8 @@ def run_units_on_majority(spec: ExperimentSpec) -> ExperimentVerdict:
         ],
     }
     # output-digit marginal measure over the designated positions
-    out_counts: dict[tuple[int, ...], int] = {}
-    for v, cnt in enumerate(counts_v):
-        cnt = int(cnt)
-        if cnt == 0:
-            continue
-        dd = table[v]
-        if dd.integer_part is None or len(dd.fraction_bits) < 4:
-            continue
-        key = dd.fraction_bits[:4]
-        out_counts[key] = out_counts.get(key, 0) + cnt
+    out_counts = digit_joint(law, DIGIT_PAIR_POSITIONS)
     if out_counts:
-        from .estimators import correlated_info_from_dist
-
         after = correlated_info_from_dist(out_counts)
         tables["candidate_measures"].append({"stage": "output", **after.to_jsonable()})
 

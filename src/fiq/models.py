@@ -15,15 +15,16 @@ overlap structure is unchanged by this re-indexing.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import ClassVar, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .errors import DepthBeyondKnowledgeError, EnumerationBoundError
-from .propensity import PropensityVector, TailPolicy, as_propensity
+from .errors import EnumerationBoundError
+from .propensity import PropensityVector, as_propensity
 from .randombits import RandomBitSource, bias_threshold, threshold_bits
 from .rational import format_rational, parse_rational
 
@@ -67,16 +68,63 @@ def majority(window: Sequence[int]) -> int:
     return int(sum(window) * 2 > n)
 
 
+class FiqModel(Protocol):
+    """A bit-generating model: what sampling, experiments and the CLI rely on.
+
+    A new model is one class providing these members, plus one branch in
+    ``model_from_json`` that reads it back.
+    """
+
+    source: RandomBitSource
+    stationary: ClassVar[bool]  # shift-invariant across bit positions
+
+    def sample(self, stream_ids: np.ndarray, depth: int) -> np.ndarray:
+        """First ``depth`` bits of every stream; shape (len(stream_ids), depth), uint8."""
+
+    def generating_bits(self, depth: int) -> int:
+        """Number of source bits that determine the first ``depth`` model bits."""
+
+    def to_json(self) -> dict:
+        """JSON form that ``model_from_json`` reads back."""
+
+
+def _check_nonnegative(depth: int) -> None:
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
+
+
 @dataclass(frozen=True)
 class MajorityVoteModel:
     """Bit j = majority of the k source bits r(j) .. r(j+k-1)."""
 
     k: int
     source: RandomBitSource
+    stationary: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         if self.k < 1 or self.k % 2 == 0:
             raise ValueError(f"window length k must be an odd positive integer, got {self.k}")
+
+    def sample(self, stream_ids: np.ndarray, depth: int) -> np.ndarray:
+        n_source = depth + self.k - 1
+        r = self.source.bit_matrix(stream_ids, 1, n_source)
+        csum = np.zeros((r.shape[0], n_source + 1), dtype=np.int64)
+        np.cumsum(r, axis=1, out=csum[:, 1:])
+        window_sums = csum[:, self.k:] - csum[:, :-self.k]
+        return (window_sums * 2 > self.k).astype(np.uint8)
+
+    def generating_bits(self, depth: int) -> int:
+        _check_nonnegative(depth)
+        return depth + self.k - 1 if depth else 0
+
+    def to_json(self) -> dict:
+        return {
+            "type": "majority",
+            "k": self.k,
+            "bias": format_rational(self.source.bias),
+            "seed": self.source.seed,
+            "stream": self.source.stream_id,
+        }
 
 
 @dataclass(frozen=True)
@@ -85,9 +133,28 @@ class IndependentBitsModel:
 
     pv: PropensityVector
     source: RandomBitSource
+    stationary: ClassVar[bool] = False
 
+    def sample(self, stream_ids: np.ndarray, depth: int) -> np.ndarray:
+        # propensity_at rejects a depth past an unspecified tail before any bit is drawn
+        thresholds = [bias_threshold(self.pv.propensity_at(j + 1)) for j in range(depth)]
+        u = self.source.uniforms(stream_ids, 1, depth)
+        out = np.empty(u.shape, dtype=np.uint8)
+        for j, t in enumerate(thresholds):
+            out[:, j] = threshold_bits(u[:, j], t)
+        return out
 
-FiqModel = Union[IndependentBitsModel, MajorityVoteModel]
+    def generating_bits(self, depth: int) -> int:
+        _check_nonnegative(depth)
+        return depth
+
+    def to_json(self) -> dict:
+        return {
+            "type": "independent",
+            "pv": self.pv.to_json(),
+            "seed": self.source.seed,
+            "stream": self.source.stream_id,
+        }
 
 
 @dataclass(frozen=True)
@@ -111,55 +178,12 @@ class SampleMatrix:
         return self.bits.shape[1]
 
 
-def generating_bits_count(model: FiqModel, depth: int) -> int:
-    """Number of source bits that determine the first ``depth`` model bits."""
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
-    if depth == 0:
-        return 0
-    if isinstance(model, MajorityVoteModel):
-        return depth + model.k - 1
-    return depth
-
-
-def _check_depth(model: FiqModel, depth: int) -> None:
-    if isinstance(model, IndependentBitsModel) and model.pv.tail is TailPolicy.UNSPECIFIED:
-        if depth > model.pv.prefix_length:
-            raise DepthBeyondKnowledgeError(
-                f"depth {depth} exceeds prefix length {model.pv.prefix_length} "
-                "and the tail is unspecified"
-            )
-
-
-def _independent_bits(model: IndependentBitsModel, stream_ids: np.ndarray, depth: int) -> np.ndarray:
-    u = model.source.uniforms(stream_ids, 1, depth)
-    out = np.empty(u.shape, dtype=np.uint8)
-    for j in range(depth):
-        t = bias_threshold(model.pv.propensity_at(j + 1))
-        out[:, j] = threshold_bits(u[:, j], t)
-    return out
-
-
-def _majority_bits(model: MajorityVoteModel, stream_ids: np.ndarray, depth: int) -> np.ndarray:
-    n_source = depth + model.k - 1
-    r = model.source.bit_matrix(stream_ids, 1, n_source)
-    csum = np.zeros((r.shape[0], n_source + 1), dtype=np.int64)
-    np.cumsum(r, axis=1, out=csum[:, 1:])
-    window_sums = csum[:, model.k:] - csum[:, :-model.k]
-    return (window_sums * 2 > model.k).astype(np.uint8)
-
-
 def sample_prefix(model: FiqModel, depth: int, stream_id: int | None = None) -> BitPrefix:
     """One realization of the first ``depth`` bits, deterministic in the source."""
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    _check_depth(model, depth)
     sid = model.source.stream_id if stream_id is None else stream_id
-    streams = np.array([sid], dtype=np.uint64)
-    if isinstance(model, MajorityVoteModel):
-        row = _majority_bits(model, streams, depth)[0]
-    else:
-        row = _independent_bits(model, streams, depth)[0]
+    row = model.sample(np.array([sid], dtype=np.uint64), depth)[0]
     return BitPrefix(tuple(int(b) for b in row))
 
 
@@ -167,28 +191,22 @@ def sample_matrix(model: FiqModel, depth: int, n_samples: int, threads: int = 1)
     """N realizations on streams stream_id .. stream_id+N-1, one per row.
 
     Output is identical for any thread count: rows are pure functions of
-    their stream id, and chunks are assembled in index order.
+    their stream id, and chunks are assembled in index order.  At most
+    ``os.cpu_count()`` worker threads run.
     """
     if depth < 1 or n_samples < 1:
         raise ValueError("depth and n_samples must be >= 1")
-    _check_depth(model, depth)
     base = model.source.stream_id
     streams = np.arange(base, base + n_samples, dtype=np.uint64)
-    is_majority = isinstance(model, MajorityVoteModel)
-
-    def run(chunk: np.ndarray) -> np.ndarray:
-        if is_majority:
-            return _majority_bits(model, chunk, depth)
-        return _independent_bits(model, chunk, depth)
-
-    if threads <= 1 or n_samples < 2 * threads:
-        bits = run(streams)
+    workers = min(threads, os.cpu_count() or 1)
+    if workers <= 1 or n_samples < 2 * workers:
+        bits = model.sample(streams, depth)
     else:
-        chunks = np.array_split(streams, threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run, chunks))
+        chunks = np.array_split(streams, workers)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(lambda chunk: model.sample(chunk, depth), chunks))
         bits = np.concatenate(parts, axis=0)
-    return SampleMatrix(bits=bits, stationary=is_majority)
+    return SampleMatrix(bits=bits, stationary=model.stationary)
 
 
 def exact_window_joint(
@@ -253,21 +271,13 @@ def majority_block_distribution(k: int, bias: Fraction, block_length: int) -> di
 # ---------------------------------------------------------------------------
 # serialization
 
-def model_to_json(model: FiqModel) -> dict:
-    if isinstance(model, IndependentBitsModel):
-        return {
-            "type": "independent",
-            "pv": model.pv.to_json(),
-            "seed": model.source.seed,
-            "stream": model.source.stream_id,
-        }
-    return {
-        "type": "majority",
-        "k": model.k,
-        "bias": format_rational(model.source.bias),
-        "seed": model.source.seed,
-        "stream": model.source.stream_id,
-    }
+def require_fields(data, what: str, *keys: str) -> None:
+    """Reject a JSON document that is not an object or lacks one of ``keys``."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{what} is missing required field {key!r}")
 
 
 def model_from_json(
@@ -276,16 +286,19 @@ def model_from_json(
     stream: int | None = None,
 ) -> FiqModel:
     """Build a model from its JSON form; ``seed``/``stream`` override the document."""
+    require_fields(data, "model JSON")
     kind = data.get("type")
     use_seed = seed if seed is not None else data.get("seed")
     if use_seed is None:
         raise ValueError("model JSON carries no seed and none was supplied")
     use_stream = stream if stream is not None else data.get("stream", 0)
     if kind == "independent":
+        require_fields(data, "independent model JSON", "pv")
         pv = PropensityVector.from_json(data["pv"])
         source = RandomBitSource(seed=int(use_seed), stream_id=int(use_stream))
         return IndependentBitsModel(pv=pv, source=source)
     if kind == "majority":
+        require_fields(data, "majority model JSON", "k")
         bias = parse_rational(str(data.get("bias", "1/2")))
         source = RandomBitSource(seed=int(use_seed), bias=bias, stream_id=int(use_stream))
         return MajorityVoteModel(k=int(data["k"]), source=source)

@@ -20,23 +20,12 @@ import numpy as np
 
 from .propensity import HALF, as_propensity
 
-_MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _STREAM_GAMMA = 0xD1B54A32D192ED03
 
 
-def _mix(x: int) -> int:
-    """splitmix64 finalizer on a python int."""
-    x &= _MASK
-    x ^= x >> 30
-    x = (x * 0xBF58476D1CE4E5B9) & _MASK
-    x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & _MASK
-    x ^= x >> 31
-    return x
-
-
 def _mix_arr(x: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer, elementwise on a copy of ``x`` as uint64."""
     x = x.astype(np.uint64, copy=True)
     x ^= x >> np.uint64(30)
     x *= np.uint64(0xBF58476D1CE4E5B9)
@@ -44,10 +33,6 @@ def _mix_arr(x: np.ndarray) -> np.ndarray:
     x *= np.uint64(0x94D049BB133111EB)
     x ^= x >> np.uint64(31)
     return x
-
-
-def _stream_key(seed: int, stream_id: int) -> int:
-    return _mix(_mix(seed) + stream_id * _STREAM_GAMMA)
 
 
 def bias_threshold(bias: Fraction) -> int:

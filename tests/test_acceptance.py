@@ -17,6 +17,7 @@ import mpmath
 import numpy as np
 
 from fiq.arithmetic import (
+    digit_pair_joints,
     prefix_to_interval,
     prefix_values,
     scale_by_constant,
@@ -33,13 +34,12 @@ from fiq.estimators import (
     mi_noise_floor,
     pairwise_mi,
 )
-from fiq.experiments import consumed_source_indices, digit_pair_joints_exact
+from fiq.experiments import consumed_source_indices
 from fiq.models import (
     BitPrefix,
     IndependentBitsModel,
     MajorityVoteModel,
     exact_window_joint,
-    generating_bits_count,
     sample_matrix,
 )
 from fiq.propensity import (
@@ -181,7 +181,7 @@ def test_criterion_5_change_of_units_critique():
         model = IndependentBitsModel(pv=PropensityVector.of(["3/4", "3/4"]),
                                      source=RandomBitSource(seed=1))
         dist = scale_fiq_truncated(model, Fraction(3), depth)
-        joints = digit_pair_joints_exact(dist)
+        joints = digit_pair_joints(dist)
         assert any(not joint_is_independent(j) for j in joints.values())
         assert max(mi_from_joint(j) for j in joints.values()) > 0.0
 
@@ -210,7 +210,7 @@ def test_criterion_5_change_of_units_critique():
         uniform = IndependentBitsModel(pv=PropensityVector.of([]),
                                        source=RandomBitSource(seed=1))
         udist = scale_fiq_truncated(uniform, Fraction(3), depth)
-        ujoints = digit_pair_joints_exact(udist)
+        ujoints = digit_pair_joints(udist)
         assert all(joint_is_independent(j) for j in ujoints.values())
         us = sample_matrix(uniform, depth, n)
         ucounts = np.bincount(prefix_values(us), minlength=1 << depth)
@@ -234,7 +234,7 @@ def test_criterion_6_finiteness_bookkeeping():
             model = MajorityVoteModel(k=k, source=RandomBitSource(seed=5))
             for d in range(1, 65):
                 expected = d + k - 1
-                assert generating_bits_count(model, d) == expected
+                assert model.generating_bits(d) == expected
                 assert consumed_source_indices(model, d) == set(range(1, expected + 1))
 
 

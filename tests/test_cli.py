@@ -53,6 +53,15 @@ class TestMeasure:
         assert code == 0
         assert (tmp_path / "mi_matrix.csv").exists()
 
+    @pytest.mark.parametrize("depth,blocks", [("1", "8"), ("8", "1")])
+    def test_single_block_length(self, tmp_path, model_file, depth, blocks):
+        code = run_cli(["measure", "--model", model_file, "--depth", depth,
+                        "--samples", "2000", "--seed", "5", "--blocks", blocks], tmp_path)
+        assert code == 0
+        info = json.loads((tmp_path / "report.json").read_text())["info_report"]
+        assert len(info["block_entropies"]) == 1
+        assert info["entropy_rate_estimate"] == info["block_entropies"][0]
+
     def test_rerun_is_byte_identical(self, tmp_path, model_file):
         args = ["measure", "--model", model_file, "--depth", "6",
                 "--samples", "3000", "--seed", "11"]
@@ -139,6 +148,39 @@ class TestExperiment:
                  "--seed", "1"], tmp_path)
         stray = [p for p in tmp_path.iterdir() if p.name.startswith(".")]
         assert stray == []
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("model,field", [
+        ({"type": "majority"}, "k"),
+        ({"type": "independent"}, "pv"),
+    ])
+    def test_model_missing_field_exits_2(self, tmp_path, capsys, model, field):
+        code = run_cli(["sample", "--model", json.dumps(model), "--depth", "4",
+                        "--samples", "5", "--seed", "1"], tmp_path)
+        assert code == 2
+        assert f"missing required field {field!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["name", "model", "depth", "samples"])
+    def test_spec_missing_field_exits_2(self, tmp_path, capsys, field):
+        from fiq.experiments import preset_spec
+
+        spec = preset_spec("units", "uniform-x3-control", seed=2).to_json()
+        del spec[field]
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        code = run_cli(["experiment", "units", "--spec", str(spec_path), "--seed", "2"],
+                       tmp_path)
+        assert code == 2
+        assert f"missing required field {field!r}" in capsys.readouterr().err
+
+    def test_model_file_not_an_object_exits_2(self, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        model_path.write_text("[3]")
+        code = run_cli(["sample", "--model", str(model_path), "--depth", "4",
+                        "--samples", "5", "--seed", "1"], tmp_path)
+        assert code == 2
+        assert "must be a JSON object" in capsys.readouterr().err
 
 
 class TestEntryPoint:

@@ -64,6 +64,11 @@ class TestDistributionLayer:
         assert mi_from_joint(joint) == 0.0
         assert joint_is_independent(joint)
 
+    @pytest.mark.parametrize("joint", [{}, {(1, 0): 7}, {(0, 1): Fraction(3, 5)}])
+    def test_empty_or_single_cell_joint_is_independent(self, joint):
+        assert mi_from_joint(joint) == 0.0
+        assert joint_is_independent(joint)
+
     def test_mi_of_copied_fair_bit_is_one(self):
         joint = {(0, 0): Fraction(1, 2), (1, 1): Fraction(1, 2)}
         assert mi_from_joint(joint) == pytest.approx(1.0, abs=1e-12)

@@ -8,7 +8,6 @@ import pytest
 from fiq.experiments import (
     ExperimentSpec,
     consumed_source_indices,
-    digit_pair_joints_exact,
     preset_spec,
     run_majority_study,
     run_units_critique,
@@ -187,11 +186,11 @@ class TestDeterminism:
 
 class TestDigitPairJoints:
     def test_excluded_mass_is_small_at_depth_12(self):
-        from fiq.arithmetic import scale_fiq_truncated
+        from fiq.arithmetic import digit_pair_joints, scale_fiq_truncated
 
         model = IndependentBitsModel(pv=PropensityVector.of(["3/4", "3/4"]),
                                      source=RandomBitSource(seed=1))
         dist = scale_fiq_truncated(model, Fraction(3), 12)
-        joints = digit_pair_joints_exact(dist)
+        joints = digit_pair_joints(dist)
         for joint in joints.values():
             assert sum(joint.values()) > Fraction(99, 100)

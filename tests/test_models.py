@@ -1,20 +1,20 @@
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import fiq.models
 from fiq.errors import DepthBeyondKnowledgeError, EnumerationBoundError
 from fiq.models import (
     BitPrefix,
     IndependentBitsModel,
     MajorityVoteModel,
     exact_window_joint,
-    generating_bits_count,
     majority,
     majority_block_distribution,
     model_from_json,
-    model_to_json,
     sample_matrix,
     sample_prefix,
 )
@@ -52,17 +52,17 @@ class TestModels:
 
     def test_json_round_trip(self):
         m = MajorityVoteModel(k=5, source=RandomBitSource(seed=3, bias=Fraction(1, 3), stream_id=2))
-        doc = model_to_json(m)
+        doc = m.to_json()
         assert doc["type"] == "majority" and doc["bias"] == "1/3"
         assert model_from_json(doc) == m
 
         pv = PropensityVector.of(["3/4"])
         im = IndependentBitsModel(pv=pv, source=fair_source(seed=9))
-        assert model_from_json(model_to_json(im)) == im
+        assert model_from_json(im.to_json()) == im
 
     def test_seed_override(self):
         m = MajorityVoteModel(k=3, source=fair_source(seed=3))
-        m2 = model_from_json(model_to_json(m), seed=42)
+        m2 = model_from_json(m.to_json(), seed=42)
         assert m2.source.seed == 42
 
 
@@ -124,6 +124,31 @@ class TestSampleMatrix:
             f = s.bits[:, j].mean()
             assert abs(f - q) <= 3 * math.sqrt(q * (1 - q) / n)
 
+    def test_threads_capped_at_cpu_count(self, monkeypatch):
+        pools = []
+
+        class InlinePool:
+            """ThreadPoolExecutor stand-in that runs every task inline."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(fiq.models, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        model = MajorityVoteModel(k=3, source=fair_source(seed=8))
+        capped = sample_matrix(model, 12, 503, threads=64)
+        assert pools == [3]
+        assert np.array_equal(capped.bits, sample_matrix(model, 12, 503, threads=1).bits)
+
     def test_stationary_flag(self):
         maj = MajorityVoteModel(k=3, source=fair_source())
         ind = IndependentBitsModel(pv=PropensityVector.of([]), source=fair_source())
@@ -134,11 +159,11 @@ class TestSampleMatrix:
 class TestGeneratingBitsCount:
     def test_examples(self):
         src = fair_source()
-        assert generating_bits_count(MajorityVoteModel(k=3, source=src), 1) == 3
-        assert generating_bits_count(MajorityVoteModel(k=5, source=src), 10) == 14
+        assert MajorityVoteModel(k=3, source=src).generating_bits(1) == 3
+        assert MajorityVoteModel(k=5, source=src).generating_bits(10) == 14
         ind = IndependentBitsModel(pv=PropensityVector.of([]), source=src)
-        assert generating_bits_count(ind, 7) == 7
-        assert generating_bits_count(MajorityVoteModel(k=7, source=src), 0) == 0
+        assert ind.generating_bits(7) == 7
+        assert MajorityVoteModel(k=7, source=src).generating_bits(0) == 0
 
 
 class TestExactWindowJoint:

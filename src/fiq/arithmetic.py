@@ -214,8 +214,10 @@ def scale_fiq_truncated(
 
 
 def prefix_values(sample: SampleMatrix) -> np.ndarray:
-    """Integer value sum bits_j 2^(d-j) of every row; usable as a table index."""
+    """Int64 value sum bits_j 2^(d-j) of every row (so depth <= 63); usable as a table index."""
     d = sample.depth
+    if d > 63:
+        raise EnumerationBoundError(f"depth {d} exceeds the int64 prefix-value bound 63")
     powers = (1 << np.arange(d - 1, -1, -1)).astype(np.int64)
     return sample.bits.astype(np.int64) @ powers
 

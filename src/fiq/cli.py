@@ -18,6 +18,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from .errors import FiqError
 from .estimators import correlation_report, info_report
 from .experiments import RUNNERS, ExperimentSpec, preset_spec
@@ -44,7 +46,7 @@ def _write_atomic(path: Path, data: str) -> None:
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    _write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_atomic(path, json.dumps(doc, indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n")
 
 
 def _write_csv(path: Path, rows: list[dict]) -> None:
@@ -113,8 +115,8 @@ def cmd_measure(args) -> int:
             "seed": args.seed,
             "blocks": args.blocks,
         },
-        "info_report": info.to_jsonable(),
-        "correlation_report": corr.to_jsonable(),
+        "info_report": dataclasses.asdict(info),
+        "correlation_report": dataclasses.asdict(corr),
     }
     outdir = _outdir(args)
     _write_json(outdir / "report.json", doc)
@@ -177,12 +179,11 @@ def cmd_experiment(args) -> int:
     if (args.preset is None) == (args.spec is None):
         raise FiqError("give exactly one of --preset or --spec")
     if args.preset is not None:
-        spec = preset_spec(args.kind, args.preset, seed=args.seed, threads=args.threads)
+        spec = preset_spec(args.kind, args.preset, seed=args.seed)
     else:
         with open(args.spec) as fh:
             spec = ExperimentSpec.from_json(json.load(fh), seed=args.seed)
-        spec = dataclasses.replace(spec, threads=args.threads)
-    verdict = RUNNERS[args.kind](spec)
+    verdict = RUNNERS[args.kind](dataclasses.replace(spec, threads=args.threads))
     outdir = _outdir(args)
     for name, rows in verdict.tables.items():
         _write_csv(outdir / f"{name}.csv", rows)

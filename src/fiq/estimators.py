@@ -183,14 +183,6 @@ class CorrelationReport:
     n_samples: int
     noise_floor: float
 
-    def to_jsonable(self) -> dict:
-        return {
-            "marginals": self.marginals,
-            "mi_matrix": self.mi_matrix.tolist(),
-            "n_samples": self.n_samples,
-            "noise_floor": self.noise_floor,
-        }
-
 
 def correlation_report(s: SampleMatrix) -> CorrelationReport:
     return CorrelationReport(
@@ -280,9 +272,6 @@ class CandidateMeasures:
     per_bit_sum: float
     multi_information: float
 
-    def to_jsonable(self) -> dict:
-        return {"per_bit_sum": self.per_bit_sum, "multi_information": self.multi_information}
-
 
 def correlated_info_content(s: SampleMatrix, d: int) -> CandidateMeasures:
     if d < 1 or d > min(s.depth, MAX_BLOCK_LENGTH):
@@ -301,15 +290,6 @@ class InfoReport:
     total: float
     block_entropies: list[float]
     entropy_rate_estimate: float
-
-    def to_jsonable(self) -> dict:
-        return {
-            "measure_name": self.measure_name,
-            "per_bit_terms": self.per_bit_terms,
-            "total": self.total,
-            "block_entropies": self.block_entropies,
-            "entropy_rate_estimate": self.entropy_rate_estimate,
-        }
 
 
 def info_report(s: SampleMatrix, l_max: int = 8) -> InfoReport:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import ClassVar, Mapping, Protocol, Sequence
 
@@ -190,13 +190,15 @@ def sample_prefix(model: FiqModel, depth: int, stream_id: int | None = None) -> 
 def sample_matrix(model: FiqModel, depth: int, n_samples: int, threads: int = 1) -> SampleMatrix:
     """N realizations on streams stream_id .. stream_id+N-1, one per row.
 
-    Output is identical for any thread count: rows are pure functions of
-    their stream id, and chunks are assembled in index order.  At most
-    ``os.cpu_count()`` worker threads run.
+    Every stream id must fit in 64 bits.  Output is identical for any thread
+    count: rows are pure functions of their stream id, and chunks are
+    assembled in index order.  At most ``os.cpu_count()`` worker threads run.
     """
     if depth < 1 or n_samples < 1:
         raise ValueError("depth and n_samples must be >= 1")
     base = model.source.stream_id
+    if base + n_samples > 1 << 64:
+        raise ValueError(f"streams {base} .. {base + n_samples - 1} do not fit in 64 bits")
     streams = np.arange(base, base + n_samples, dtype=np.uint64)
     workers = min(threads, os.cpu_count() or 1)
     if workers <= 1 or n_samples < 2 * workers:
@@ -280,6 +282,14 @@ def require_fields(data, what: str, *keys: str) -> None:
             raise ValueError(f"{what} is missing required field {key!r}")
 
 
+def json_int(value, what: str) -> int:
+    """``value`` as an int; a ValueError names ``what`` when it is not one."""
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 def model_from_json(
     data: Mapping,
     seed: int | None = None,
@@ -292,14 +302,13 @@ def model_from_json(
     if use_seed is None:
         raise ValueError("model JSON carries no seed and none was supplied")
     use_stream = stream if stream is not None else data.get("stream", 0)
+    source = RandomBitSource(seed=json_int(use_seed, "model field 'seed'"),
+                             stream_id=json_int(use_stream, "model field 'stream'"))
     if kind == "independent":
         require_fields(data, "independent model JSON", "pv")
-        pv = PropensityVector.from_json(data["pv"])
-        source = RandomBitSource(seed=int(use_seed), stream_id=int(use_stream))
-        return IndependentBitsModel(pv=pv, source=source)
+        return IndependentBitsModel(pv=PropensityVector.from_json(data["pv"]), source=source)
     if kind == "majority":
         require_fields(data, "majority model JSON", "k")
-        bias = parse_rational(str(data.get("bias", "1/2")))
-        source = RandomBitSource(seed=int(use_seed), bias=bias, stream_id=int(use_stream))
-        return MajorityVoteModel(k=int(data["k"]), source=source)
+        source = replace(source, bias=parse_rational(str(data.get("bias", "1/2"))))
+        return MajorityVoteModel(k=json_int(data["k"], "model field 'k'"), source=source)
     raise ValueError(f"unknown model type {kind!r}")

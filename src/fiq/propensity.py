@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Mapping, Union
 
 from .errors import DepthBeyondKnowledgeError
 from .rational import format_rational, parse_rational
@@ -83,8 +83,11 @@ class PropensityVector:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "PropensityVector":
-        return cls.of(data.get("prefix", []), TailPolicy(data.get("tail", "half")))
+    def from_json(cls, data: Mapping) -> "PropensityVector":
+        prefix = data.get("prefix", []) if isinstance(data, Mapping) else None
+        if not isinstance(prefix, list):
+            raise ValueError(f"model field 'pv' must be an object with a 'prefix' list, got {data!r}")
+        return cls.of(prefix, TailPolicy(data.get("tail", "half")))
 
 
 def binary_entropy(q: RationalLike) -> float:

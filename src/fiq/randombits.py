@@ -73,8 +73,8 @@ class RandomBitSource:
     def __post_init__(self) -> None:
         if not 0 <= self.seed < (1 << 64):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if self.stream_id < 0:
-            raise ValueError(f"stream_id must be nonnegative, got {self.stream_id}")
+        if not 0 <= self.stream_id < (1 << 64):
+            raise ValueError(f"stream_id must be a 64-bit unsigned integer, got {self.stream_id}")
         object.__setattr__(self, "bias", as_propensity(self.bias))
 
     def with_stream(self, stream_id: int) -> "RandomBitSource":

@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,11 +13,12 @@ from fiq.arithmetic import (
     determined_digits,
     digits_of_rational,
     prefix_to_interval,
+    prefix_values,
     scale_by_constant,
     scale_fiq_truncated,
 )
 from fiq.errors import EnumerationBoundError, UnitMismatchError
-from fiq.models import BitPrefix, IndependentBitsModel
+from fiq.models import BitPrefix, IndependentBitsModel, SampleMatrix
 from fiq.propensity import PropensityVector
 from fiq.randombits import RandomBitSource
 
@@ -210,3 +212,13 @@ class TestScaleFiqTruncated:
         )
         with pytest.raises(DepthBeyondKnowledgeError):
             scale_fiq_truncated(model, Fraction(3), 2)
+
+
+class TestPrefixValues:
+    def test_values_fit_in_int64(self):
+        ones = np.ones((1, 64), dtype=np.uint8)
+        top = prefix_values(SampleMatrix(ones[:, :63], stationary=False))
+        assert top.tolist() == [(1 << 63) - 1]
+        # at depth 64 a leading 1 would wrap to -2^63
+        with pytest.raises(EnumerationBoundError):
+            prefix_values(SampleMatrix(ones, stationary=False))

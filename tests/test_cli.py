@@ -161,6 +161,33 @@ class TestMalformedInput:
         assert code == 2
         assert f"missing required field {field!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model,field", [
+        ({"type": "majority", "k": None}, "k"),
+        ({"type": "majority", "k": [3]}, "k"),
+        ({"type": "independent", "pv": 3}, "pv"),
+        ({"type": "independent", "pv": {"prefix": 3}}, "prefix"),
+        ({"type": "majority", "k": 3, "stream": None}, "stream"),
+    ])
+    def test_model_bad_value_exits_2(self, tmp_path, capsys, model, field):
+        code = run_cli(["sample", "--model", json.dumps(model), "--depth", "4",
+                        "--samples", "5", "--seed", "1"], tmp_path)
+        assert code == 2
+        assert repr(field) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stream,model", [
+        ("18446744073709551613", MAJORITY_MODEL),
+        ("18446744073709551615", MAJORITY_MODEL),
+        (None, {**MAJORITY_MODEL, "stream": 18446744073709551615}),
+        (None, {**MAJORITY_MODEL, "stream": 18446744073709551616}),
+    ])
+    def test_stream_past_64_bits_exits_2(self, tmp_path, capsys, stream, model):
+        args = ["sample", "--model", json.dumps(model), "--depth", "4", "--samples", "5",
+                "--seed", "1"]
+        code = run_cli([*args, "--stream", stream] if stream else args, tmp_path)
+        assert code == 2
+        assert "64" in capsys.readouterr().err
+        assert not (tmp_path / "samples.csv").exists()
+
     @pytest.mark.parametrize("field", ["name", "model", "depth", "samples"])
     def test_spec_missing_field_exits_2(self, tmp_path, capsys, field):
         from fiq.experiments import preset_spec

@@ -148,6 +148,17 @@ class TestUnitsOnMajority:
         spec = replace(spec, samples=2000, depth=8)
         assert run_units_on_majority(spec).passed
 
+    def test_report_claim_fails_without_output_stage(self):
+        # at depth 2 no output digit pair is determined, so only the input
+        # stage can be reported
+        spec = replace(preset_spec("units-majority", "k3-x3", seed=1), samples=2000, depth=2)
+        verdict = run_units_on_majority(spec)
+        claim = verdict.claims[-1]
+        assert claim.statement == "correlation and candidate-measure reports emitted"
+        assert [row["stage"] for row in verdict.tables["candidate_measures"]] == ["input"]
+        assert not claim.passed and claim.estimate == 1.0 and claim.threshold == 1.0
+        assert not verdict.passed
+
 
 class TestSpecSerialization:
     def test_round_trip(self):
@@ -160,7 +171,7 @@ class TestSpecSerialization:
         spec = preset_spec("majority", "k3", seed=5)
         back = ExperimentSpec.from_json(spec.to_json(), seed=9)
         assert back.seed == 9
-        assert back.resolved_model().source.seed == 9
+        assert back.model.source.seed == 9
 
     def test_missing_seed_rejected(self):
         doc = preset_spec("majority", "k3", seed=5).to_json()

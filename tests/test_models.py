@@ -149,6 +149,15 @@ class TestSampleMatrix:
         assert pools == [3]
         assert np.array_equal(capped.bits, sample_matrix(model, 12, 503, threads=1).bits)
 
+    def test_streams_must_fit_in_64_bits(self):
+        top = (1 << 64) - 5
+        model = MajorityVoteModel(k=3, source=fair_source(stream=top))
+        # the last five stream ids are usable; one row more would wrap to stream 0
+        last = sample_matrix(model, 4, 5)
+        assert tuple(int(b) for b in last.bits[4]) == sample_prefix(model, 4, stream_id=top + 4).bits
+        with pytest.raises(ValueError, match="64 bits"):
+            sample_matrix(model, 4, 6)
+
     def test_stationary_flag(self):
         maj = MajorityVoteModel(k=3, source=fair_source())
         ind = IndependentBitsModel(pv=PropensityVector.of([]), source=fair_source())

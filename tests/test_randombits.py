@@ -22,6 +22,11 @@ class TestRandomBitSource:
         src = RandomBitSource(seed=5)
         assert not np.array_equal(src.bits(1, 64), src.with_stream(1).bits(1, 64))
 
+    @pytest.mark.parametrize("stream_id", [-1, 1 << 64])
+    def test_stream_id_must_fit_in_64_bits(self, stream_id):
+        with pytest.raises(ValueError, match="stream_id"):
+            RandomBitSource(seed=5, stream_id=stream_id)
+
     def test_seeds_differ(self):
         a = RandomBitSource(seed=5).bits(1, 64)
         b = RandomBitSource(seed=6).bits(1, 64)

@@ -24,6 +24,8 @@ EXACT_ENUMERATION_MAX_DEPTH = 20
 
 DIGIT_PAIR_POSITIONS = (1, 2, 3, 4)
 
+_ASCII_BITS = bytes.maketrans(b"01", b"\x00\x01")  # "0"/"1" characters to bit values
+
 
 @dataclass(frozen=True)
 class PartialNumber:
@@ -129,7 +131,20 @@ def digits_of_rational(z: Fraction, n_frac: int) -> tuple[int, tuple[int, ...]]:
 
 
 def scaled_digit_table(c: Fraction, depth: int) -> list[DeterminedDigits]:
-    """Determined digits of c * [v/2^d, (v+1)/2^d) for every prefix value v."""
+    """Determined digits of c * [v/2^d, (v+1)/2^d) for every prefix value v.
+
+    Integer form of ``determined_digits(scale_by_constant(...))``, which stays
+    as the reference.  With c = p/q, s = bitlen(q) + 2 and N = d + s, the
+    scaled interval meets the cells [k 2^-N, (k + 1) 2^-N) for k = L .. H,
+    where (the 2^d cancels)
+
+        L = floor(v p 2^s / q),    H = floor(((v + 1) p 2^s - 1) / q).
+
+    A digit is determined iff L and H agree on it and on every digit before
+    it: the integer part iff L >> N == H >> N, and then the first
+    N - bitlen(L xor H) fraction digits.  N is enough because the interval
+    spans p 2^s / q > 4 cells, so fewer than N digits are ever determined.
+    """
     c = Fraction(c)
     if c <= 0:
         raise ValueError(f"scaling constant must be positive, got {c}")
@@ -137,11 +152,25 @@ def scaled_digit_table(c: Fraction, depth: int) -> list[DeterminedDigits]:
         raise EnumerationBoundError(
             f"depth {depth} exceeds exact enumeration bound {EXACT_ENUMERATION_MAX_DEPTH}"
         )
-    step = Fraction(1, 1 << depth)
+    p, q = c.numerator, c.denominator
+    spare = q.bit_length() + 2
+    n_bits = depth + spare
+    sentinel = 1 << n_bits  # keeps the leading zeros of the fraction digits in bin()
+    step = p << spare
+    undetermined = DeterminedDigits(integer_part=None, fraction_bits=())
     table = []
-    for v in range(1 << depth):
-        x = PartialNumber(low=v * step, high=(v + 1) * step)
-        table.append(determined_digits(scale_by_constant(x, c)))
+    upper = 0  # (v p 2^s) for the current v
+    for _ in range(1 << depth):
+        low = upper // q
+        upper += step
+        high = (upper - 1) // q
+        integer_part = low >> n_bits
+        if integer_part != high >> n_bits:
+            table.append(undetermined)
+            continue
+        n = n_bits - (low ^ high).bit_length()
+        digits = bin(low & (sentinel - 1) | sentinel)[3:n + 3].encode()
+        table.append(DeterminedDigits(integer_part, tuple(digits.translate(_ASCII_BITS))))
     return table
 
 
@@ -182,6 +211,24 @@ def digit_pair_joints(
 ) -> dict[tuple[int, int], dict]:
     """``digit_joint`` of every pair i < j of the designated positions."""
     return {pair: digit_joint(law, pair) for pair in itertools.combinations(positions, 2)}
+
+
+def exact_digit_pair_joints(
+    law: Mapping[DeterminedDigits, Fraction],
+    positions: Sequence[int] = DIGIT_PAIR_POSITIONS,
+) -> dict[tuple[int, int], dict[tuple[int, int], Fraction]]:
+    """``digit_pair_joints`` of an exact law, summed as integers.
+
+    The weights are put over the law's common denominator and summed as
+    ints, and each joint cell becomes one Fraction: the same cells, values
+    and order as adding the Fractions entry by entry, without a gcd per entry.
+    """
+    denominator = math.lcm(*(w.denominator for w in law.values()))
+    numerators = {dd: w.numerator * (denominator // w.denominator) for dd, w in law.items()}
+    return {
+        pair: {cell: Fraction(n, denominator) for cell, n in joint.items()}
+        for pair, joint in digit_pair_joints(numerators, positions).items()
+    }
 
 
 def scale_fiq_truncated(

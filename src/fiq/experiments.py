@@ -30,7 +30,7 @@ from .arithmetic import (
     digit_joint,
     digit_law,
     digit_pair_joints,
-    digits_of_rational,
+    exact_digit_pair_joints,
     prefix_counts,
     scale_fiq_truncated,
     scaled_digit_table,
@@ -48,6 +48,7 @@ from .models import (
     IndependentBitsModel,
     MajorityVoteModel,
     exact_window_joint,
+    json_float,
     json_int,
     model_from_json,
     require_fields,
@@ -99,7 +100,7 @@ class ExperimentSpec:
             depth=json_int(data["depth"], "experiment spec field 'depth'"),
             samples=json_int(data["samples"], "experiment spec field 'samples'"),
             constant=None if constant is None else parse_rational(str(constant)),
-            sigma=float(data.get("sigma", 3.0)),
+            sigma=json_float(data.get("sigma", 3.0), "experiment spec field 'sigma'"),
         )
 
 
@@ -181,7 +182,7 @@ def run_units_critique(spec: ExperimentSpec) -> ExperimentVerdict:
     biased = any(q != HALF for q in model.pv.prefix)
     expect_correlation = biased and not _is_power_of_two(c)
 
-    exact_joints = digit_pair_joints(scale_fiq_truncated(model, c, spec.depth))
+    exact_joints = exact_digit_pair_joints(scale_fiq_truncated(model, c, spec.depth))
     exact_mi = {pair: mi_from_joint(j) for pair, j in exact_joints.items()}
     exact_indep = {pair: joint_is_independent(j) for pair, j in exact_joints.items()}
     claims = [Claim(
@@ -354,10 +355,11 @@ def run_majority_study(spec: ExperimentSpec) -> ExperimentVerdict:
 def run_units_on_majority(spec: ExperimentSpec) -> ExperimentVerdict:
     """Scale sampled majority-vote quantities and audit every emitted digit.
 
-    Soundness oracle: for each realized prefix, the determined digits of the
-    scaled interval are recomputed from exact rational points inside the
-    interval; any disagreement fails the run.  Candidate information
-    measures are reported for the input bits and the output digits.
+    Soundness oracle: for each realized prefix, the whole scaled interval
+    must lie, in exact integer arithmetic, inside the digit cell its table
+    entry emits; any prefix that leaves its cell fails the run.  Candidate
+    information measures are reported for the input bits and the output
+    digits.
     """
     model = spec.model
     if not isinstance(model, MajorityVoteModel):
@@ -369,18 +371,22 @@ def run_units_on_majority(spec: ExperimentSpec) -> ExperimentVerdict:
     table = scaled_digit_table(c, spec.depth)
     counts = prefix_counts(sample)
 
-    # soundness check on every realized prefix value
-    step = Fraction(1, 1 << spec.depth)
+    # soundness: the whole scaled interval of every realized prefix value lies
+    # in its emitted digit cell, checked exactly from the table entry alone:
+    # c [v, v + 1) / 2^d within [cell, cell + 1) / 2^n, n the emitted fraction digits
+    p, q = c.numerator, c.denominator
     sound = True
     for v, count in enumerate(counts):
-        if not count:
-            continue
         dd = table[v]
-        low = v * step
-        for point in (c * low, c * (low + step / 3), c * (low + step - step / 1000)):
-            int_part, frac = digits_of_rational(point, len(dd.fraction_bits))
-            if dd.integer_part is not None and (int_part != dd.integer_part or frac != dd.fraction_bits):
-                sound = False
+        if not count or dd.integer_part is None:
+            continue
+        n = len(dd.fraction_bits)
+        cell = dd.integer_part
+        for bit in dd.fraction_bits:
+            cell = 2 * cell + bit
+        if not ((cell * q) << spec.depth <= (p * v) << n
+                and (p * (v + 1)) << n <= ((cell + 1) * q) << spec.depth):
+            sound = False
     claims = [Claim(
         statement="every emitted digit agrees with exact arithmetic on interior points",
         passed=sound,

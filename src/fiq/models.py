@@ -283,11 +283,27 @@ def require_fields(data, what: str, *keys: str) -> None:
 
 
 def json_int(value, what: str) -> int:
-    """``value`` as an int; a ValueError names ``what`` when it is not one."""
+    """``value`` as an int; a ValueError names ``what`` when it is not one.
+
+    A boolean or a float with a fractional part is not an integer: it is
+    rejected, not truncated.
+    """
+    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{what} must be an integer, got {value!r}")
     try:
         return int(value)
     except (TypeError, ValueError):
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
+def json_float(value, what: str) -> float:
+    """``value`` as a float; a ValueError names ``what`` when it is not a number."""
+    if isinstance(value, bool):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be a number, got {value!r}") from None
 
 
 def model_from_json(

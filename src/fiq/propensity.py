@@ -27,7 +27,10 @@ RationalLike = Union[Fraction, int, str]
 
 def as_propensity(value: RationalLike) -> Fraction:
     """Coerce to an exact rational in [0,1], rejecting anything outside."""
-    q = parse_rational(value) if isinstance(value, str) else Fraction(value)
+    try:
+        q = parse_rational(value) if isinstance(value, str) else Fraction(value)
+    except (TypeError, OverflowError):
+        raise ValueError(f"propensity {value!r} is not a rational number") from None
     if not 0 <= q <= 1:
         raise ValueError(f"propensity {q} outside [0, 1]")
     return q
@@ -87,7 +90,11 @@ class PropensityVector:
         prefix = data.get("prefix", []) if isinstance(data, Mapping) else None
         if not isinstance(prefix, list):
             raise ValueError(f"model field 'pv' must be an object with a 'prefix' list, got {data!r}")
-        return cls.of(prefix, TailPolicy(data.get("tail", "half")))
+        try:
+            entries = tuple(as_propensity(q) for q in prefix)
+        except ValueError as exc:
+            raise ValueError(f"model field 'prefix': {exc}") from None
+        return cls(entries, TailPolicy(data.get("tail", "half")))
 
 
 def binary_entropy(q: RationalLike) -> float:

@@ -11,11 +11,14 @@ from fiq.arithmetic import (
     PartialNumber,
     add,
     determined_digits,
+    digit_pair_joints,
     digits_of_rational,
+    exact_digit_pair_joints,
     prefix_to_interval,
     prefix_values,
     scale_by_constant,
     scale_fiq_truncated,
+    scaled_digit_table,
 )
 from fiq.errors import EnumerationBoundError, UnitMismatchError
 from fiq.models import BitPrefix, IndependentBitsModel, SampleMatrix
@@ -157,6 +160,61 @@ class TestSoundness:
                             == parent.fraction_bits
                         assert len(child.fraction_bits) >= len(parent.fraction_bits)
 
+
+
+def reference_table(c, depth):
+    """``scaled_digit_table`` through the Fraction reference, one prefix at a time."""
+    return [
+        determined_digits(scale_by_constant(
+            prefix_to_interval(BitPrefix(tuple((v >> (depth - 1 - j)) & 1 for j in range(depth)))),
+            c))
+        for v in range(1 << depth)
+    ]
+
+
+POSITIVE_CONSTANTS = st.one_of(
+    st.fractions(min_value=Fraction(1, 1000), max_value=Fraction(999, 1000), max_denominator=1000),
+    st.fractions(min_value=Fraction(1001, 1000), max_value=1000, max_denominator=1000),
+    st.integers(min_value=-8, max_value=8).map(lambda k: Fraction(2) ** k),
+    st.just(Fraction(1143, 1250)),
+)
+
+
+class TestScaledDigitTable:
+    @given(c=POSITIVE_CONSTANTS, depth=st.integers(min_value=0, max_value=10))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_fraction_reference(self, c, depth):
+        assert scaled_digit_table(c, depth) == reference_table(c, depth)
+
+    def test_matches_fraction_reference_exhaustively(self):
+        for c in CONSTANTS:
+            for depth in range(11):
+                assert scaled_digit_table(c, depth) == reference_table(c, depth), (c, depth)
+
+    def test_depth_bound(self):
+        with pytest.raises(EnumerationBoundError):
+            scaled_digit_table(Fraction(3), 21)
+
+    def test_rejects_nonpositive_constant(self):
+        with pytest.raises(ValueError):
+            scaled_digit_table(Fraction(0), 4)
+
+
+class TestExactDigitPairJoints:
+    @pytest.mark.parametrize("prefix,c", [
+        (["3/4", "3/4"], Fraction(3)),
+        (["3/4", "1/3", "3/4"], Fraction(10)),
+        (["3/4", "3/4"], Fraction(1143, 1250)),
+        ([], Fraction(3)),
+    ])
+    def test_same_cells_values_and_order_as_fraction_sums(self, prefix, c):
+        law = scale_fiq_truncated(model_of(prefix), c, 10)
+        fast = exact_digit_pair_joints(law)
+        slow = digit_pair_joints(law)
+        assert list(fast) == list(slow)
+        for pair, joint in slow.items():
+            assert list(fast[pair].items()) == list(joint.items())
+            assert all(type(w) is Fraction for w in fast[pair].values())
 
 class TestDigitsOfRational:
     def test_known_expansion(self):

@@ -167,6 +167,10 @@ class TestMalformedInput:
         ({"type": "independent", "pv": 3}, "pv"),
         ({"type": "independent", "pv": {"prefix": 3}}, "prefix"),
         ({"type": "majority", "k": 3, "stream": None}, "stream"),
+        ({"type": "independent", "pv": {"prefix": [None]}}, "prefix"),
+        ({"type": "independent", "pv": {"prefix": ["3/4", [1, 2]]}}, "prefix"),
+        ({"type": "majority", "k": 3.5}, "k"),
+        ({"type": "majority", "k": True}, "k"),
     ])
     def test_model_bad_value_exits_2(self, tmp_path, capsys, model, field):
         code = run_cli(["sample", "--model", json.dumps(model), "--depth", "4",
@@ -200,6 +204,27 @@ class TestMalformedInput:
                        tmp_path)
         assert code == 2
         assert f"missing required field {field!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value", [
+        ("sigma", None),
+        ("sigma", "wide"),
+        ("depth", 12.5),
+        ("depth", True),
+        ("samples", 1000.5),
+    ])
+    def test_spec_bad_value_exits_2(self, tmp_path, capsys, field, value):
+        from fiq.experiments import preset_spec
+
+        spec = preset_spec("units", "uniform-x3-control", seed=2).to_json()
+        spec[field] = value
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        code = run_cli(["experiment", "units", "--spec", str(spec_path), "--seed", "2"],
+                       tmp_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert repr(field) in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "verdict.json").exists()
 
     def test_model_file_not_an_object_exits_2(self, tmp_path, capsys):
         model_path = tmp_path / "model.json"

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+import fiq.experiments
+from fiq.arithmetic import DeterminedDigits, prefix_counts
 from fiq.experiments import (
     ExperimentSpec,
     consumed_source_indices,
@@ -13,7 +15,7 @@ from fiq.experiments import (
     run_units_critique,
     run_units_on_majority,
 )
-from fiq.models import IndependentBitsModel, MajorityVoteModel
+from fiq.models import IndependentBitsModel, MajorityVoteModel, sample_matrix
 from fiq.propensity import PropensityVector
 from fiq.randombits import RandomBitSource
 
@@ -159,6 +161,32 @@ class TestUnitsOnMajority:
         assert not claim.passed and claim.estimate == 1.0 and claim.threshold == 1.0
         assert not verdict.passed
 
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda dd: DeterminedDigits(dd.integer_part, dd.fraction_bits[:-1] + (1 - dd.fraction_bits[-1],)),
+        lambda dd: DeterminedDigits(dd.integer_part + 1, dd.fraction_bits),
+        # one digit more than the interval determines: either value is wrong
+        lambda dd: DeterminedDigits(dd.integer_part, dd.fraction_bits + (0,)),
+        lambda dd: DeterminedDigits(dd.integer_part, dd.fraction_bits + (1,)),
+    ])
+    def test_soundness_claim_fails_on_one_wrong_digit(self, monkeypatch, corrupt):
+        spec = replace(preset_spec("units-majority", "k3-x3", seed=1), samples=2000, depth=6)
+        assert run_units_on_majority(spec).claims[0].passed
+        counts = prefix_counts(sample_matrix(spec.model, spec.depth, spec.samples))
+        real = fiq.experiments.scaled_digit_table
+        table = real(spec.constant, spec.depth)
+        v = next(v for v, dd in enumerate(table)
+                 if counts[v] and dd.integer_part is not None and dd.fraction_bits)
+
+        def one_wrong_entry(c, depth):
+            wrong = real(c, depth)
+            wrong[v] = corrupt(wrong[v])
+            return wrong
+
+        monkeypatch.setattr(fiq.experiments, "scaled_digit_table", one_wrong_entry)
+        claim = run_units_on_majority(spec).claims[0]
+        assert claim.statement == "every emitted digit agrees with exact arithmetic on interior points"
+        assert not claim.passed and claim.estimate == 1.0
 
 class TestSpecSerialization:
     def test_round_trip(self):

@@ -12,6 +12,8 @@ from fiq.models import (
     IndependentBitsModel,
     MajorityVoteModel,
     exact_window_joint,
+    json_float,
+    json_int,
     majority,
     majority_block_distribution,
     model_from_json,
@@ -65,6 +67,23 @@ class TestModels:
         m2 = model_from_json(m.to_json(), seed=42)
         assert m2.source.seed == 42
 
+
+    def test_json_int_rejects_fractions_and_booleans(self):
+        assert json_int(3, "k") == 3
+        assert json_int(3.0, "k") == 3
+        for bad in (3.5, -0.25, True, False, None, "3.5", float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="'k' must be an integer"):
+                json_int(bad, "'k'")
+
+    def test_json_float_rejects_non_numbers(self):
+        assert json_float(2, "sigma") == 2.0
+        for bad in (None, True, "wide", [3]):
+            with pytest.raises(ValueError, match="sigma must be a number"):
+                json_float(bad, "sigma")
+
+    def test_fractional_k_is_not_truncated(self):
+        with pytest.raises(ValueError, match="model field 'k' must be an integer, got 3.5"):
+            model_from_json({"type": "majority", "k": 3.5}, seed=1)
 
 class TestSamplePrefix:
     def test_deterministic_propensities(self):

@@ -139,3 +139,10 @@ class TestVector:
 
     def test_as_propensity_lowest_terms(self):
         assert as_propensity("2/4") == Fraction(1, 2)
+
+    def test_non_rational_entry_is_a_value_error(self):
+        for bad in (None, [1, 2], {"q": 1}, float("inf")):
+            with pytest.raises(ValueError, match="is not a rational number"):
+                as_propensity(bad)
+        with pytest.raises(ValueError, match="model field 'prefix'"):
+            PropensityVector.from_json({"prefix": ["3/4", None]})

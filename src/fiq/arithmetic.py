@@ -205,17 +205,13 @@ def digit_joint(law: Mapping[DeterminedDigits, object], positions: Sequence[int]
     return joint
 
 
-def digit_pair_joints(
-    law: Mapping[DeterminedDigits, object],
-    positions: Sequence[int] = DIGIT_PAIR_POSITIONS,
-) -> dict[tuple[int, int], dict]:
-    """``digit_joint`` of every pair i < j of the designated positions."""
-    return {pair: digit_joint(law, pair) for pair in itertools.combinations(positions, 2)}
+def digit_pair_joints(law: Mapping[DeterminedDigits, object]) -> dict[tuple[int, int], dict]:
+    """``digit_joint`` of every pair i < j of ``DIGIT_PAIR_POSITIONS``."""
+    return {pair: digit_joint(law, pair) for pair in itertools.combinations(DIGIT_PAIR_POSITIONS, 2)}
 
 
 def exact_digit_pair_joints(
     law: Mapping[DeterminedDigits, Fraction],
-    positions: Sequence[int] = DIGIT_PAIR_POSITIONS,
 ) -> dict[tuple[int, int], dict[tuple[int, int], Fraction]]:
     """``digit_pair_joints`` of an exact law, summed as integers.
 
@@ -227,7 +223,7 @@ def exact_digit_pair_joints(
     numerators = {dd: w.numerator * (denominator // w.denominator) for dd, w in law.items()}
     return {
         pair: {cell: Fraction(n, denominator) for cell, n in joint.items()}
-        for pair, joint in digit_pair_joints(numerators, positions).items()
+        for pair, joint in digit_pair_joints(numerators).items()
     }
 
 

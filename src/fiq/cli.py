@@ -49,12 +49,11 @@ def _write_json(path: Path, doc: dict) -> None:
     _write_atomic(path, json.dumps(doc, indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n")
 
 
-def _write_csv(path: Path, rows: list[dict]) -> None:
+def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     buf = io.StringIO()
-    if rows:
-        writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()), lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
     _write_atomic(path, buf.getvalue())
 
 
@@ -91,12 +90,8 @@ def _add_model_flags(p: argparse.ArgumentParser, need_seed: bool = True) -> None
 def cmd_sample(args) -> int:
     model = model_from_json(_load_model_doc(args.model), seed=args.seed, stream=args.stream)
     s = sample_matrix(model, args.depth, args.samples, threads=args.threads)
-    rows = [
-        {f"bit_{j + 1}": int(b) for j, b in enumerate(row)}
-        for row in s.bits
-    ]
     out = _outdir(args) / "samples.csv"
-    _write_csv(out, rows)
+    _write_csv(out, [f"bit_{j + 1}" for j in range(s.depth)], s.bits.tolist())
     print(out)
     return EXIT_OK
 
@@ -121,11 +116,9 @@ def cmd_measure(args) -> int:
     outdir = _outdir(args)
     _write_json(outdir / "report.json", doc)
     if args.mi_csv:
-        rows = [
-            {"row": i, **{f"col_{j}": v for j, v in enumerate(line)}}
-            for i, line in enumerate(corr.mi_matrix.tolist())
-        ]
-        _write_csv(outdir / "mi_matrix.csv", rows)
+        mi = corr.mi_matrix.tolist()
+        header = ["row", *(f"col_{j}" for j in range(len(mi)))]
+        _write_csv(outdir / "mi_matrix.csv", header, [[i, *line] for i, line in enumerate(mi)])
     print(outdir / "report.json")
     return EXIT_OK
 
@@ -186,7 +179,7 @@ def cmd_experiment(args) -> int:
     verdict = RUNNERS[args.kind](dataclasses.replace(spec, threads=args.threads))
     outdir = _outdir(args)
     for name, rows in verdict.tables.items():
-        _write_csv(outdir / f"{name}.csv", rows)
+        _write_csv(outdir / f"{name}.csv", list(rows[0]), [[row[key] for key in rows[0]] for row in rows])
         verdict.artifacts.append(f"{name}.csv")
     verdict.artifacts.append("verdict.json")
     _write_json(outdir / "verdict.json", verdict.to_jsonable())

@@ -47,6 +47,7 @@ from .models import (
     FiqModel,
     IndependentBitsModel,
     MajorityVoteModel,
+    enumeration_span,
     exact_window_joint,
     json_float,
     json_int,
@@ -71,6 +72,10 @@ class ExperimentSpec:
     constant: Fraction | None = None
     sigma: float = 3.0
     threads: int = 1
+
+    def __post_init__(self) -> None:
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"experiment spec field 'sigma' must be positive and finite, got {self.sigma!r}")
 
     @property
     def seed(self) -> int:
@@ -273,6 +278,7 @@ def run_majority_study(spec: ExperimentSpec) -> ExperimentVerdict:
         raise ValueError("majority study requires a majority-vote model")
     k = model.k
     bias = model.source.bias
+    enumeration_span(k, [1, 1 + k] if spec.depth > k + 1 else [1, 2])  # widest joint, before any work
     sample = sample_matrix(model, spec.depth, spec.samples, threads=spec.threads)
     n = spec.samples
     claims: list[Claim] = []

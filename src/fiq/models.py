@@ -211,6 +211,14 @@ def sample_matrix(model: FiqModel, depth: int, n_samples: int, threads: int = 1)
     return SampleMatrix(bits=bits, stationary=model.stationary)
 
 
+def enumeration_span(k: int, offsets: Sequence[int]) -> int:
+    """Source bits spanned by length-``k`` windows at ``offsets``; raises past ENUMERATION_BIT_BOUND."""
+    span = max(offsets) - min(offsets) + k
+    if span > ENUMERATION_BIT_BOUND:
+        raise EnumerationBoundError(f"enumeration needs {span} source bits, bound is {ENUMERATION_BIT_BOUND}")
+    return span
+
+
 def exact_window_joint(
     k: int,
     bias: Fraction,
@@ -229,11 +237,7 @@ def exact_window_joint(
         raise ValueError("offsets must be non-empty")
     bias = as_propensity(bias)
     rel = [o - min(offsets) for o in offsets]
-    span = max(rel) + k
-    if span > ENUMERATION_BIT_BOUND:
-        raise EnumerationBoundError(
-            f"enumeration needs {span} source bits, bound is {ENUMERATION_BIT_BOUND}"
-        )
+    span = enumeration_span(k, rel)
 
     half = k // 2
     n_out = len(rel)

@@ -208,6 +208,10 @@ class TestMalformedInput:
     @pytest.mark.parametrize("field,value", [
         ("sigma", None),
         ("sigma", "wide"),
+        ("sigma", -1),
+        ("sigma", 0),
+        ("sigma", float("inf")),
+        ("sigma", float("nan")),
         ("depth", 12.5),
         ("depth", True),
         ("samples", 1000.5),

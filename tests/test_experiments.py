@@ -7,6 +7,7 @@ import pytest
 
 import fiq.experiments
 from fiq.arithmetic import DeterminedDigits, prefix_counts
+from fiq.errors import EnumerationBoundError
 from fiq.experiments import (
     ExperimentSpec,
     consumed_source_indices,
@@ -113,6 +114,18 @@ class TestMajorityStudy:
             if pairwise_mi(s, 0, 4).significant:
                 exceed += 1
         assert exceed <= 20
+
+    @pytest.mark.parametrize("k,depth", [(23, 26), (25, 20)])
+    def test_enumeration_bound_checked_before_any_work(self, monkeypatch, k, depth):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the enumeration bound was checked")
+
+        monkeypatch.setattr(fiq.experiments, "sample_matrix", no_work)
+        monkeypatch.setattr(fiq.experiments, "exact_window_joint", no_work)
+        spec = ExperimentSpec.from_json({"name": "wide", "model": {"type": "majority", "k": k},
+                                         "depth": depth, "samples": 1000}, seed=1)
+        with pytest.raises(EnumerationBoundError):
+            run_majority_study(spec)
 
 
 class TestConsumedIndices:

@@ -36,6 +36,8 @@ COMMANDS = {
     "measure": ["measure", "--model", MAJORITY_K3, "--depth", "8", "--samples", "5000",
                 "--blocks", "4", "--mi-csv"],
     "sample": ["sample", "--model", BIASED, "--depth", "6", "--samples", "200"],
+    "sample-majority-k3": ["sample", "--model", MAJORITY_K3, "--depth", "12", "--samples", "500",
+                           "--threads", "2"],
 }
 
 HASHED = {"samples.csv", "arith.json"}

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 from fractions import Fraction
@@ -221,6 +222,22 @@ class TestExactWindowJoint:
     def test_enumeration_bound(self):
         with pytest.raises(EnumerationBoundError):
             exact_window_joint(3, Fraction(1, 2), [1, 30])
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("bias", [Fraction(0), Fraction(1, 3), Fraction(1, 2),
+                                      Fraction(2, 5), Fraction(1)])
+    @pytest.mark.parametrize("offsets", [[1], [2, 1], [3, 3], [4, 1, 2], [5, 2, 5, 1], [6, 3]])
+    def test_matches_enumeration_oracle(self, k, bias, offsets):
+        # every source configuration over the span, weighted a^ones (b-a)^zeros / b^span
+        a, b = bias.numerator, bias.denominator
+        low = min(offsets)
+        span = max(offsets) - low + k
+        oracle = {o: Fraction(0) for o in itertools.product((0, 1), repeat=len(offsets))}
+        for config in itertools.product((0, 1), repeat=span):
+            ones = sum(config)
+            outcome = tuple(majority(config[o - low:o - low + k]) for o in offsets)
+            oracle[outcome] += Fraction(a ** ones * (b - a) ** (span - ones), b ** span)
+        assert exact_window_joint(k, bias, offsets) == oracle
 
     def test_block_distribution_matches_sampling(self):
         dist = majority_block_distribution(3, Fraction(1, 2), 2)

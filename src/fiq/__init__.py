@@ -4,7 +4,6 @@ sound digit arithmetic and information estimators."""
 from .arithmetic import (
     DeterminedDigits,
     PartialNumber,
-    add,
     determined_digits,
     digits_of_rational,
     prefix_to_interval,
@@ -16,7 +15,6 @@ from .errors import (
     EnumerationBoundError,
     FiqError,
     InvalidRationalError,
-    UnitMismatchError,
 )
 from .estimators import (
     CandidateMeasures,
@@ -42,7 +40,6 @@ from .models import (
     MajorityVoteModel,
     exact_window_joint,
     majority,
-    majority_block_distribution,
     model_from_json,
     sample_matrix,
     sample_prefix,
@@ -54,7 +51,6 @@ from .propensity import (
     as_propensity,
     binary_entropy,
     information_content_independent,
-    satisfies_sufficient_condition,
 )
 from .randombits import RandomBitSource
 from .rational import format_rational, parse_rational

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DepthBeyondKnowledgeError, EnumerationBoundError, UnitMismatchError
+from .errors import DepthBeyondKnowledgeError, EnumerationBoundError
 from .models import BitPrefix, IndependentBitsModel, SampleMatrix
 from .propensity import TailPolicy
 
@@ -29,11 +29,10 @@ _ASCII_BITS = bytes.maketrans(b"01", b"\x00\x01")  # "0"/"1" characters to bit v
 
 @dataclass(frozen=True)
 class PartialNumber:
-    """Half-open interval [low, high) of exact rationals, tagged with a unit."""
+    """Half-open interval [low, high) of exact rationals."""
 
     low: Fraction
     high: Fraction
-    unit: str = "1"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "low", Fraction(self.low))
@@ -63,26 +62,18 @@ class DeterminedDigits:
         return f"{head}.{''.join(str(b) for b in self.fraction_bits)}"
 
 
-def prefix_to_interval(p: BitPrefix, unit: str = "1") -> PartialNumber:
+def prefix_to_interval(p: BitPrefix) -> PartialNumber:
     """Dyadic interval [value, value + 2^-d) of a depth-d prefix."""
     v = p.value
-    return PartialNumber(low=v, high=v + Fraction(1, 1 << p.depth), unit=unit)
+    return PartialNumber(low=v, high=v + Fraction(1, 1 << p.depth))
 
 
-def scale_by_constant(x: PartialNumber, c: Fraction, unit: str | None = None) -> PartialNumber:
+def scale_by_constant(x: PartialNumber, c: Fraction) -> PartialNumber:
     """Multiply by an exact positive rational constant (change of units)."""
     c = Fraction(c)
     if c <= 0:
         raise ValueError(f"scaling constant must be positive, got {c}")
-    return PartialNumber(low=c * x.low, high=c * x.high,
-                         unit=x.unit if unit is None else unit)
-
-
-def add(x: PartialNumber, y: PartialNumber) -> PartialNumber:
-    """Sum of two partial numbers; unit labels must match."""
-    if x.unit != y.unit:
-        raise UnitMismatchError(f"cannot add {x.unit!r} to {y.unit!r}")
-    return PartialNumber(low=x.low + y.low, high=x.high + y.high, unit=x.unit)
+    return PartialNumber(low=c * x.low, high=c * x.high)
 
 
 def determined_digits(x: PartialNumber) -> DeterminedDigits:

@@ -135,8 +135,9 @@ def cmd_arith(args) -> int:
     else:
         if args.seed is None:
             raise FiqError("--seed is required in sample mode")
+        table = scaled_digit_table(args.constant, args.depth)  # checks the depth bound before sampling
         s = sample_matrix(model, args.depth, args.samples, threads=args.threads)
-        law = digit_law(scaled_digit_table(args.constant, args.depth), prefix_counts(s))
+        law = digit_law(table, prefix_counts(s))
 
         def prob(count: int) -> float:
             return count / args.samples

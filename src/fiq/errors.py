@@ -15,7 +15,3 @@ class DepthBeyondKnowledgeError(FiqError, ValueError):
 
 class EnumerationBoundError(FiqError, ValueError):
     """An exact enumeration would exceed the configured state bound."""
-
-
-class UnitMismatchError(FiqError, ValueError):
-    """Arithmetic between partial numbers carrying different unit labels."""

@@ -373,8 +373,8 @@ def run_units_on_majority(spec: ExperimentSpec) -> ExperimentVerdict:
     if spec.constant is None or spec.constant <= 0:
         raise ValueError("a positive rational constant is required")
     c = spec.constant
+    table = scaled_digit_table(c, spec.depth)  # checks the depth bound before sampling
     sample = sample_matrix(model, spec.depth, spec.samples, threads=spec.threads)
-    table = scaled_digit_table(c, spec.depth)
     counts = prefix_counts(sample)
 
     # soundness: the whole scaled interval of every realized prefix value lies

@@ -19,6 +19,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import comb
 from typing import ClassVar, Mapping, Protocol, Sequence
 
 import numpy as np
@@ -226,10 +227,13 @@ def exact_window_joint(
 ) -> dict[tuple[int, ...], Fraction]:
     """Exact joint law of the majority-vote bits at the given positions.
 
-    Enumerates every configuration of the source bits spanned by the windows
-    and weights it by the bias, so the returned probabilities are exact
-    rationals.  The span (max(offsets) - min(offsets) + k source bits) must
-    not exceed ENUMERATION_BIT_BOUND.
+    The span of source bits (max(offsets) - min(offsets) + k, at most
+    ENUMERATION_BIT_BOUND) is cut at every window start and end.  A segment
+    of n bits holding j ones weighs C(n, j) a^j (b - a)^(n - j) for bias a/b,
+    and each state (every window's ones so far, or its majority bit once the
+    window has ended) carries an integer weight; the law is those weights
+    over b^span.  Every outcome is a key, zero cells included, in increasing
+    order of sum outcome[i] 2^i.
     """
     if k < 1 or k % 2 == 0:
         raise ValueError(f"window length k must be an odd positive integer, got {k}")
@@ -239,39 +243,26 @@ def exact_window_joint(
     rel = [o - min(offsets) for o in offsets]
     span = enumeration_span(k, rel)
 
-    half = k // 2
-    n_out = len(rel)
-    # counts[outcome_code, ones_in_config] over all 2^span source configs
-    counts = np.zeros((1 << n_out, span + 1), dtype=np.int64)
-    shifts = np.arange(span, dtype=np.uint32)
-    batch = 1 << min(span, 16)
-    for start in range(0, 1 << span, batch):
-        m = np.arange(start, start + batch, dtype=np.uint32)
-        bits = ((m[:, None] >> shifts[None, :]) & 1).astype(np.int8)
-        ones = bits.sum(axis=1)
-        code = np.zeros(len(m), dtype=np.int64)
-        for i, o in enumerate(rel):
-            wsum = bits[:, o:o + k].sum(axis=1)
-            code |= (wsum > half).astype(np.int64) << i
-        np.add.at(counts, (code, ones), 1)
-
     a, b = bias.numerator, bias.denominator
-    denom = Fraction(b) ** span
-    joint: dict[tuple[int, ...], Fraction] = {}
-    for code in range(1 << n_out):
-        total = Fraction(0)
-        for ones in range(span + 1):
-            c = int(counts[code, ones])
-            if c:
-                total += c * Fraction(a ** ones * (b - a) ** (span - ones))
-        outcome = tuple((code >> i) & 1 for i in range(n_out))
-        joint[outcome] = total / denom
-    return joint
-
-
-def majority_block_distribution(k: int, bias: Fraction, block_length: int) -> dict[tuple[int, ...], Fraction]:
-    """Exact law of ``block_length`` consecutive majority-vote bits."""
-    return exact_window_joint(k, bias, list(range(1, block_length + 1)))
+    cuts = sorted({*rel, *(o + k for o in rel)})
+    states = {(0,) * len(rel): 1}
+    for lo, hi in zip(cuts, cuts[1:]):
+        n = hi - lo
+        roles = [(o <= lo < o + k, o + k == hi) for o in rel]  # (counting, ending)
+        # ones counts of zero weight (bias 0 or 1) are dropped, not carried as states
+        segment = [(j, w) for j in range(n + 1) if (w := comb(n, j) * a ** j * (b - a) ** (n - j))]
+        after: dict[tuple[int, ...], int] = {}
+        for state, weight in states.items():
+            for j, w in segment:
+                key = tuple(
+                    (int(2 * (c + j) > k) if ending else c + j) if counting else c
+                    for c, (counting, ending) in zip(state, roles)
+                )
+                after[key] = after.get(key, 0) + weight * w
+        states = after
+    denominator = b ** span
+    outcomes = (tuple((code >> i) & 1 for i in range(len(rel))) for code in range(1 << len(rel)))
+    return {outcome: Fraction(states.get(outcome, 0), denominator) for outcome in outcomes}
 
 
 # ---------------------------------------------------------------------------

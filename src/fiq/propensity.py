@@ -128,8 +128,3 @@ def information_content_independent(pv: PropensityVector) -> InfoContent:
     """
     total = math.fsum(1.0 - binary_entropy(q) for q in pv.prefix)
     return InfoContent(bits=total, is_lower_bound=pv.tail is TailPolicy.UNSPECIFIED)
-
-
-def satisfies_sufficient_condition(pv: PropensityVector) -> bool:
-    """True iff only finitely many bits may deviate from 1/2 (half tail)."""
-    return pv.tail is TailPolicy.HALF

@@ -13,7 +13,7 @@ floor(a * 2^64 / b); the realized probability differs from a/b by less than
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -76,9 +76,6 @@ class RandomBitSource:
         if not 0 <= self.stream_id < (1 << 64):
             raise ValueError(f"stream_id must be a 64-bit unsigned integer, got {self.stream_id}")
         object.__setattr__(self, "bias", as_propensity(self.bias))
-
-    def with_stream(self, stream_id: int) -> "RandomBitSource":
-        return replace(self, stream_id=stream_id)
 
     def bits(self, first: int, count: int) -> np.ndarray:
         """Bits r(first) .. r(first+count-1) as a uint8 array."""

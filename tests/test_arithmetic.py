@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from fiq.arithmetic import (
     DeterminedDigits,
     PartialNumber,
-    add,
     determined_digits,
     digit_pair_joints,
     digits_of_rational,
@@ -20,7 +19,7 @@ from fiq.arithmetic import (
     scale_fiq_truncated,
     scaled_digit_table,
 )
-from fiq.errors import EnumerationBoundError, UnitMismatchError
+from fiq.errors import EnumerationBoundError
 from fiq.models import BitPrefix, IndependentBitsModel, SampleMatrix
 from fiq.propensity import PropensityVector
 from fiq.randombits import RandomBitSource
@@ -68,19 +67,6 @@ class TestScaleAndAdd:
         with pytest.raises(ValueError):
             scale_by_constant(interval(0, 1), Fraction(-2))
 
-    def test_add_examples(self):
-        assert add(interval(Fraction(1, 2), 1), interval(0, Fraction(1, 2))) \
-            == interval(Fraction(1, 2), Fraction(3, 2))
-        assert add(interval(Fraction(1, 2), Fraction(3, 4)),
-                   interval(Fraction(1, 2), Fraction(3, 4))) == interval(1, Fraction(3, 2))
-        assert add(interval(0, 1), interval(0, 1)) == interval(0, 2)
-
-    def test_add_unit_mismatch(self):
-        metres = PartialNumber(Fraction(0), Fraction(1), unit="m")
-        yards = PartialNumber(Fraction(0), Fraction(1), unit="yd")
-        with pytest.raises(UnitMismatchError):
-            add(metres, yards)
-
     def test_scale_round_trip_is_exact(self):
         x = interval(Fraction(3, 7), Fraction(5, 7))
         for c in CONSTANTS:
@@ -88,9 +74,7 @@ class TestScaleAndAdd:
 
     def test_width_laws(self):
         x = interval(Fraction(1, 3), Fraction(1, 2))
-        y = interval(Fraction(1, 5), Fraction(2, 5))
         assert scale_by_constant(x, Fraction(3)).width == 3 * x.width
-        assert add(x, y).width == x.width + y.width
 
 
 class TestDeterminedDigits:

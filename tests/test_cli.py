@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import fiq.cli
 from fiq.cli import main
 
 MAJORITY_MODEL = {"type": "majority", "k": 3, "bias": "1/2"}
@@ -229,6 +230,18 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert repr(field) in err and len(err.splitlines()) == 1
         assert not (tmp_path / "verdict.json").exists()
+
+    def test_arith_sample_depth_bound_checked_before_sampling(self, tmp_path, capsys, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the depth bound was checked")
+
+        monkeypatch.setattr(fiq.cli, "sample_matrix", no_sampling)
+        code = run_cli(["arith", "--mode", "sample", "--model", json.dumps(MAJORITY_MODEL),
+                        "--constant", "3", "--depth", "21", "--samples", "1000", "--seed", "1"],
+                       tmp_path)
+        assert code == 2
+        assert "depth 21 exceeds exact enumeration bound 20" in capsys.readouterr().err
+        assert not (tmp_path / "arith.json").exists()
 
     def test_model_file_not_an_object_exits_2(self, tmp_path, capsys):
         model_path = tmp_path / "model.json"

@@ -23,7 +23,7 @@ from fiq.estimators import (
 from fiq.models import (
     IndependentBitsModel,
     MajorityVoteModel,
-    majority_block_distribution,
+    exact_window_joint,
     sample_matrix,
 )
 from fiq.propensity import PropensityVector
@@ -201,8 +201,8 @@ class TestEntropyRate:
         s = sample_matrix(model, 16, 100_000)
         l_max = 6
         est = entropy_rate(s, l_max)
-        h_hi = entropy_from_dist(majority_block_distribution(3, Fraction(1, 2), l_max))
-        h_lo = entropy_from_dist(majority_block_distribution(3, Fraction(1, 2), l_max - 1))
+        h_hi = entropy_from_dist(exact_window_joint(3, Fraction(1, 2), range(1, l_max + 1)))
+        h_lo = entropy_from_dist(exact_window_joint(3, Fraction(1, 2), range(1, l_max)))
         assert est.rate == pytest.approx(h_hi - h_lo, abs=0.02)
 
     def test_diagnostics_shape(self):

@@ -158,6 +158,15 @@ class TestUnitsOnMajority:
         stages = {row["stage"]: row for row in verdict.tables["candidate_measures"]}
         assert set(stages) == {"input", "output"}
 
+    def test_depth_bound_checked_before_sampling(self, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the depth bound was checked")
+
+        monkeypatch.setattr(fiq.experiments, "sample_matrix", no_sampling)
+        spec = replace(preset_spec("units-majority", "k3-x3", seed=1), depth=21)
+        with pytest.raises(EnumerationBoundError):
+            run_units_on_majority(spec)
+
     def test_power_of_two_shift(self):
         spec = preset_spec("units-majority", "k3-x2-shift", seed=1)
         spec = replace(spec, samples=2000, depth=8)

@@ -16,7 +16,6 @@ from fiq.models import (
     json_float,
     json_int,
     majority,
-    majority_block_distribution,
     model_from_json,
     sample_matrix,
     sample_prefix,
@@ -208,16 +207,23 @@ class TestExactWindowJoint:
     def test_disjoint_windows_independent(self):
         j = exact_window_joint(3, Fraction(1, 2), [1, 4])
         assert all(p == Fraction(1, 4) for p in j.values())
+        # windows at distance k share no source bit: the joint is the product law
+        p = Fraction(2, 5)
+        marginal = exact_window_joint(11, p, [1])
+        j = exact_window_joint(11, p, [1, 12])
+        assert j == {(x, y): marginal[(x,)] * marginal[(y,)] for y in (0, 1) for x in (0, 1)}
 
     def test_probabilities_sum_to_one(self):
         j = exact_window_joint(5, Fraction(1, 3), [1, 2, 4])
         assert sum(j.values()) == 1
 
     def test_biased_marginal(self):
-        # majority of three bits each 1 w.p. p: p^3 + 3 p^2 (1-p)
-        p = Fraction(1, 3)
-        j = exact_window_joint(3, p, [1])
-        assert j[(1,)] == p ** 3 + 3 * p ** 2 * (1 - p)
+        # majority of k bits each 1 w.p. a/b: sum over j > k/2 of C(k, j) a^j (b-a)^(k-j) / b^k
+        a, b = 1, 3
+        for k in (3, 11, 23):
+            closed = Fraction(sum(math.comb(k, j) * a ** j * (b - a) ** (k - j)
+                                  for j in range(k // 2 + 1, k + 1)), b ** k)
+            assert exact_window_joint(k, Fraction(a, b), [1])[(1,)] == closed
 
     def test_enumeration_bound(self):
         with pytest.raises(EnumerationBoundError):
@@ -226,7 +232,8 @@ class TestExactWindowJoint:
     @pytest.mark.parametrize("k", [1, 3, 5])
     @pytest.mark.parametrize("bias", [Fraction(0), Fraction(1, 3), Fraction(1, 2),
                                       Fraction(2, 5), Fraction(1)])
-    @pytest.mark.parametrize("offsets", [[1], [2, 1], [3, 3], [4, 1, 2], [5, 2, 5, 1], [6, 3]])
+    @pytest.mark.parametrize("offsets", [[1], [2, 1], [3, 3], [4, 1, 2], [5, 2, 5, 1], [6, 3],
+                                         [9, 1], [1, 2, 3, 4, 5, 6]])
     def test_matches_enumeration_oracle(self, k, bias, offsets):
         # every source configuration over the span, weighted a^ones (b-a)^zeros / b^span
         a, b = bias.numerator, bias.denominator
@@ -237,10 +244,13 @@ class TestExactWindowJoint:
             ones = sum(config)
             outcome = tuple(majority(config[o - low:o - low + k]) for o in offsets)
             oracle[outcome] += Fraction(a ** ones * (b - a) ** (span - ones), b ** span)
-        assert exact_window_joint(k, bias, offsets) == oracle
+        joint = exact_window_joint(k, bias, offsets)
+        assert joint == oracle
+        # keys in code order (outcome[0] is the low bit): mi_from_joint sums floats in key order
+        assert list(joint) == [o[::-1] for o in itertools.product((0, 1), repeat=len(offsets))]
 
     def test_block_distribution_matches_sampling(self):
-        dist = majority_block_distribution(3, Fraction(1, 2), 2)
+        dist = exact_window_joint(3, Fraction(1, 2), range(1, 3))
         model = MajorityVoteModel(k=3, source=fair_source(seed=12))
         s = sample_matrix(model, 2, 40_000)
         for outcome, p in dist.items():

@@ -12,7 +12,6 @@ from fiq.propensity import (
     as_propensity,
     binary_entropy,
     information_content_independent,
-    satisfies_sufficient_condition,
 )
 
 mpmath.mp.dps = 50
@@ -110,16 +109,6 @@ class TestInformationContent:
         assert bits >= 0.0
         if all(q == Fraction(1, 2) for q in pv.prefix):
             assert bits == 0.0
-
-
-class TestSufficientCondition:
-    def test_half_tail_true(self):
-        assert satisfies_sufficient_condition(PropensityVector.of(["9/10", "9/10"]))
-        assert satisfies_sufficient_condition(PropensityVector.of([]))
-
-    def test_unspecified_false(self):
-        pv = PropensityVector.of(["9/10", "9/10"], TailPolicy.UNSPECIFIED)
-        assert not satisfies_sufficient_condition(pv)
 
 
 class TestVector:

@@ -24,7 +24,6 @@ from .estimators import (
     block_entropy,
     correlated_info_content,
     correlation_report,
-    empirical_propensities,
     entropy_from_dist,
     entropy_rate,
     info_report,

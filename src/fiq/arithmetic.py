@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DepthBeyondKnowledgeError, EnumerationBoundError
-from .models import BitPrefix, IndependentBitsModel, SampleMatrix
+from .models import BitPrefix, IndependentBitsModel, SampleMatrix, window_codes
 from .propensity import TailPolicy
 
 EXACT_ENUMERATION_MAX_DEPTH = 20
@@ -139,6 +139,8 @@ def scaled_digit_table(c: Fraction, depth: int) -> list[DeterminedDigits]:
     c = Fraction(c)
     if c <= 0:
         raise ValueError(f"scaling constant must be positive, got {c}")
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
     if depth > EXACT_ENUMERATION_MAX_DEPTH:
         raise EnumerationBoundError(
             f"depth {depth} exceeds exact enumeration bound {EXACT_ENUMERATION_MAX_DEPTH}"
@@ -252,8 +254,7 @@ def prefix_values(sample: SampleMatrix) -> np.ndarray:
     d = sample.depth
     if d > 63:
         raise EnumerationBoundError(f"depth {d} exceeds the int64 prefix-value bound 63")
-    powers = (1 << np.arange(d - 1, -1, -1)).astype(np.int64)
-    return sample.bits.astype(np.int64) @ powers
+    return window_codes(sample.bits, d)[:, 0]
 
 
 def prefix_counts(sample: SampleMatrix) -> list[int]:

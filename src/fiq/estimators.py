@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .models import SampleMatrix
+from .models import SampleMatrix, window_codes
 
 LN2 = math.log(2.0)
 
@@ -106,25 +106,6 @@ def correlated_info_from_dist(dist: Mapping[tuple, object]) -> "CandidateMeasure
 
 
 @dataclass(frozen=True)
-class PropensityEstimate:
-    frequency: float
-    halfwidth: float  # 3-sigma binomial half-width
-
-
-def empirical_propensities(s: SampleMatrix) -> list[PropensityEstimate]:
-    """Per-column frequency of ones with 3-sigma binomial intervals."""
-    n = s.n_samples
-    if n < 1:
-        raise ValueError("empty sample matrix")
-    freqs = s.bits.mean(axis=0)
-    return [
-        PropensityEstimate(frequency=float(f),
-                           halfwidth=3.0 * math.sqrt(float(f) * (1.0 - float(f)) / n))
-        for f in freqs
-    ]
-
-
-@dataclass(frozen=True)
 class MiEstimate:
     value: float
     noise_floor: float
@@ -193,24 +174,8 @@ def correlation_report(s: SampleMatrix) -> CorrelationReport:
     )
 
 
-@dataclass(frozen=True)
-class BlockEntropyEstimate:
-    value: float    # Miller-Madow corrected, bits
-    plugin: float
-    bias_correction: float
-    n_blocks: int
-
-
-def _block_codes(s: SampleMatrix, block_length: int) -> np.ndarray:
-    powers = (1 << np.arange(block_length - 1, -1, -1)).astype(np.int64)
-    if s.stationary:
-        windows = np.lib.stride_tricks.sliding_window_view(s.bits, block_length, axis=1)
-        return (windows.astype(np.int64) @ powers).ravel()
-    return s.bits[:, :block_length].astype(np.int64) @ powers
-
-
-def block_entropy(s: SampleMatrix, block_length: int) -> BlockEntropyEstimate:
-    """Plug-in entropy of length-L windows with Miller-Madow bias correction.
+def block_entropy(s: SampleMatrix, block_length: int) -> float:
+    """Plug-in entropy in bits of length-L windows plus the Miller-Madow correction.
 
     Windows are pooled across positions only for stationary processes;
     otherwise the block starts at position 1.
@@ -222,26 +187,18 @@ def block_entropy(s: SampleMatrix, block_length: int) -> BlockEntropyEstimate:
             f"block length {block_length} exceeds sampled depth {s.depth} "
             f"or the cap {MAX_BLOCK_LENGTH}"
         )
-    codes = _block_codes(s, block_length)
-    counts = np.bincount(codes, minlength=1 << block_length)
+    bits = s.bits if s.stationary else s.bits[:, :block_length]
+    counts = np.bincount(window_codes(bits, block_length).ravel())
+    counts = counts[counts > 0]
     n = int(counts.sum())
-    probs = counts[counts > 0] / n
-    plugin = float(-(probs * np.log2(probs)).sum())
-    k_observed = int((counts > 0).sum())
-    correction = (k_observed - 1) / (2.0 * n * LN2)
-    return BlockEntropyEstimate(
-        value=plugin + correction,
-        plugin=plugin,
-        bias_correction=correction,
-        n_blocks=n,
-    )
+    probs = counts / n
+    return float(-(probs * np.log2(probs)).sum()) + (len(counts) - 1) / (2.0 * n * LN2)
 
 
 @dataclass(frozen=True)
 class EntropyRateEstimate:
-    rate: float                     # H_Lmax - H_{Lmax-1}, bits per bit
-    block_entropies: list[float]    # H_1 .. H_Lmax (corrected)
-    per_bit_entropies: list[float]  # H_L / L diagnostics
+    rate: float                   # H_Lmax - H_{Lmax-1}, bits per bit
+    block_entropies: list[float]  # H_1 .. H_Lmax (corrected)
 
 
 def entropy_rate(s: SampleMatrix, l_max: int) -> EntropyRateEstimate:
@@ -251,12 +208,8 @@ def entropy_rate(s: SampleMatrix, l_max: int) -> EntropyRateEstimate:
     """
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
-    hs = [block_entropy(s, L).value for L in range(1, l_max + 1)]
-    return EntropyRateEstimate(
-        rate=hs[-1] - (hs[-2] if l_max > 1 else 0.0),
-        block_entropies=hs,
-        per_bit_entropies=[h / (L + 1) for L, h in enumerate(hs)],
-    )
+    hs = [block_entropy(s, L) for L in range(1, l_max + 1)]
+    return EntropyRateEstimate(rate=hs[-1] - (hs[-2] if l_max > 1 else 0.0), block_entropies=hs)
 
 
 @dataclass(frozen=True)
@@ -278,8 +231,7 @@ def correlated_info_content(s: SampleMatrix, d: int) -> CandidateMeasures:
         raise ValueError(f"d must be in [1, {min(s.depth, MAX_BLOCK_LENGTH)}], got {d}")
     freqs = s.bits[:, :d].mean(axis=0)
     per_bit = math.fsum(1.0 - _h2(float(f)) for f in freqs)
-    sub = SampleMatrix(bits=s.bits[:, :d], stationary=False)
-    joint_h = block_entropy(sub, d).value
+    joint_h = block_entropy(SampleMatrix(bits=s.bits, stationary=False), d)  # first d columns
     return CandidateMeasures(per_bit_sum=per_bit, multi_information=d - joint_h)
 
 
@@ -294,7 +246,7 @@ class InfoReport:
 
 def info_report(s: SampleMatrix, l_max: int = 8) -> InfoReport:
     """Independent-bit measure on empirical marginals plus block diagnostics."""
-    terms = [1.0 - _h2(e.frequency) for e in empirical_propensities(s)]
+    terms = [1.0 - _h2(float(f)) for f in s.bits.mean(axis=0)]
     rate = entropy_rate(s, min(l_max, s.depth, MAX_BLOCK_LENGTH))
     return InfoReport(
         measure_name="entropy-complement-sum",

@@ -179,6 +179,22 @@ class SampleMatrix:
         return self.bits.shape[1]
 
 
+def window_codes(bits: np.ndarray, length: int) -> np.ndarray:
+    """Big-endian int64 code of every ``length``-column window of ``bits``, shape (N, d - length + 1).
+
+    Entry [i, t] is sum_m bits[i, t + m] 2^(length - 1 - m), built in place one
+    column at a time: no (N, windows, length) array is ever materialized.
+    """
+    if not 1 <= length <= min(bits.shape[1], 63):
+        raise ValueError(f"window length {length} is not in 1 .. min(depth {bits.shape[1]}, 63)")
+    width = bits.shape[1] - length + 1
+    codes = np.zeros((bits.shape[0], width), dtype=np.int64)
+    for t in range(length):
+        codes <<= 1
+        codes += bits[:, t:t + width]
+    return codes
+
+
 def sample_prefix(model: FiqModel, depth: int, stream_id: int | None = None) -> BitPrefix:
     """One realization of the first ``depth`` bits, deterministic in the source."""
     if depth < 1:
@@ -197,6 +213,8 @@ def sample_matrix(model: FiqModel, depth: int, n_samples: int, threads: int = 1)
     """
     if depth < 1 or n_samples < 1:
         raise ValueError("depth and n_samples must be >= 1")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     base = model.source.stream_id
     if base + n_samples > 1 << 64:
         raise ValueError(f"streams {base} .. {base + n_samples - 1} do not fit in 64 bits")

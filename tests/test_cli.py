@@ -243,6 +243,37 @@ class TestMalformedInput:
         assert "depth 21 exceeds exact enumeration bound 20" in capsys.readouterr().err
         assert not (tmp_path / "arith.json").exists()
 
+    @pytest.mark.parametrize("mode", ["exact", "sample"])
+    def test_arith_negative_depth_exits_2(self, tmp_path, capsys, mode):
+        model = {"type": "independent", "pv": {"prefix": ["3/4"]}}
+        code = run_cli(["arith", "--mode", mode, "--model", json.dumps(model), "--constant", "3",
+                        "--depth", "-1", "--seed", "1"], tmp_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "depth must be >= 0, got -1" in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "arith.json").exists()
+
+    @pytest.mark.parametrize("kind,preset", [("units", "uniform-x3-control"),
+                                             ("units-majority", "k3-x3")])
+    def test_spec_negative_depth_exits_2(self, tmp_path, capsys, kind, preset):
+        from fiq.experiments import preset_spec
+
+        spec = {**preset_spec(kind, preset, seed=2).to_json(), "depth": -1}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        code = run_cli(["experiment", kind, "--spec", str(spec_path), "--seed", "2"], tmp_path)
+        assert code == 2
+        assert "depth must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "verdict.json").exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exits_2(self, tmp_path, capsys, threads):
+        code = run_cli(["sample", "--model", json.dumps(MAJORITY_MODEL), "--depth", "4",
+                        "--samples", "5", "--seed", "1", "--threads", threads], tmp_path)
+        assert code == 2
+        assert f"threads must be >= 1, got {threads}" in capsys.readouterr().err
+        assert not (tmp_path / "samples.csv").exists()
+
     def test_model_file_not_an_object_exits_2(self, tmp_path, capsys):
         model_path = tmp_path / "model.json"
         model_path.write_text("[3]")

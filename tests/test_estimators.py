@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -11,7 +12,6 @@ from fiq.estimators import (
     correlated_info_content,
     correlated_info_from_dist,
     correlation_report,
-    empirical_propensities,
     entropy_from_dist,
     entropy_rate,
     info_report,
@@ -102,19 +102,6 @@ class TestDistributionLayer:
         assert cm.multi_information == pytest.approx(cm.per_bit_sum, abs=1e-12)
 
 
-class TestEmpiricalPropensities:
-    def test_constant_column(self):
-        ests = empirical_propensities(matrix([[1, 0]] * 100))
-        assert ests[0].frequency == 1.0 and ests[0].halfwidth == 0.0
-        assert ests[1].frequency == 0.0
-
-    def test_interval_width(self):
-        s = fair_iid(10_000, 1)
-        est = empirical_propensities(s)[0]
-        f = est.frequency
-        assert est.halfwidth == pytest.approx(3 * math.sqrt(f * (1 - f) / 10_000))
-
-
 class TestPairwiseMi:
     def test_preconditions(self):
         s = fair_iid(200, 3)
@@ -157,16 +144,16 @@ class TestBlockEntropy:
     def test_constant_stream(self):
         s = matrix([[1, 1, 1, 1]] * 200, stationary=True)
         for L in (1, 2, 4):
-            assert block_entropy(s, L).value == 0.0
+            assert block_entropy(s, L) == 0.0
 
     def test_iid_fair_l3(self):
         s = fair_iid(100_000, 3)
-        assert block_entropy(s, 3).value == pytest.approx(3.0, abs=0.05)
+        assert block_entropy(s, 3) == pytest.approx(3.0, abs=0.05)
 
     def test_majority_l2_against_enumeration(self):
         model = MajorityVoteModel(k=3, source=RandomBitSource(seed=10))
         s = sample_matrix(model, 12, 30_000)
-        assert block_entropy(s, 2).value == pytest.approx(ADJACENT_H2, abs=0.01)
+        assert block_entropy(s, 2) == pytest.approx(ADJACENT_H2, abs=0.01)
 
     def test_rejects_oversize_blocks(self):
         s = fair_iid(1000, 4)
@@ -176,13 +163,38 @@ class TestBlockEntropy:
     def test_chain_monotone_within_tolerance(self):
         model = MajorityVoteModel(k=3, source=RandomBitSource(seed=3))
         s = sample_matrix(model, 16, 100_000)
-        hs = [block_entropy(s, L).value for L in range(1, 9)]
+        hs = [block_entropy(s, L) for L in range(1, 9)]
         tol = 0.02
         for a, b in zip(hs, hs[1:]):
             assert b >= a - tol
         increments = [b - a for a, b in zip(hs, hs[1:])]
         for a, b in zip(increments, increments[1:]):
             assert b <= a + tol
+
+
+class TestBlockEntropyFromCounts:
+    """block_entropy against window tuples counted by hand, correction included."""
+
+    ROWS = [[0, 1, 1, 0, 1], [1, 1, 1, 0, 0], [0, 1, 1, 0, 1], [0, 0, 0, 1, 1]]
+
+    @staticmethod
+    def miller_madow(windows):
+        counts = Counter(windows)
+        n = sum(counts.values())
+        plugin = -math.fsum(c / n * math.log2(c / n) for c in counts.values())
+        return plugin + (len(counts) - 1) / (2 * n * math.log(2))
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 5])
+    def test_pooled_over_positions_when_stationary(self, L):
+        windows = [tuple(row[t:t + L]) for row in self.ROWS for t in range(len(row) - L + 1)]
+        got = block_entropy(matrix(self.ROWS, stationary=True), L)
+        assert got == pytest.approx(self.miller_madow(windows), abs=1e-12)
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 5])
+    def test_first_window_only_when_not_stationary(self, L):
+        windows = [tuple(row[:L]) for row in self.ROWS]
+        got = block_entropy(matrix(self.ROWS, stationary=False), L)
+        assert got == pytest.approx(self.miller_madow(windows), abs=1e-12)
 
 
 class TestEntropyRate:
@@ -209,7 +221,6 @@ class TestEntropyRate:
         s = fair_iid(2000, 8)
         est = entropy_rate(s, 4)
         assert len(est.block_entropies) == 4
-        assert len(est.per_bit_entropies) == 4
 
 
 class TestCorrelatedInfoContent:

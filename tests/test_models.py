@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fiq.models
 from fiq.errors import DepthBeyondKnowledgeError, EnumerationBoundError
@@ -19,6 +21,7 @@ from fiq.models import (
     model_from_json,
     sample_matrix,
     sample_prefix,
+    window_codes,
 )
 from fiq.propensity import PropensityVector, TailPolicy
 from fiq.randombits import RandomBitSource
@@ -121,6 +124,34 @@ class TestSamplePrefix:
         assert BitPrefix(()).value == 0
 
 
+def slow_window_codes(bits, length):
+    """Reference: every window's bits read as a binary numeral, one Python int at a time."""
+    return [[int("".join(map(str, row[t:t + length])), 2) for t in range(len(row) - length + 1)]
+            for row in bits.tolist()]
+
+
+class TestWindowCodes:
+    @given(bits=st.integers(1, 12).flatmap(lambda d: st.lists(
+        st.lists(st.integers(0, 1), min_size=d, max_size=d), min_size=1, max_size=6)))
+    @settings(max_examples=100)
+    def test_matches_binary_numerals_for_every_length(self, bits):
+        bits = np.array(bits, dtype=np.uint8)
+        for length in range(1, bits.shape[1] + 1):
+            codes = window_codes(bits, length)
+            assert codes.dtype == np.int64
+            assert codes.tolist() == slow_window_codes(bits, length)
+
+    def test_all_ones_depth_63(self):
+        ones = np.ones((1, 63), dtype=np.uint8)
+        assert window_codes(ones, 63).tolist() == [[(1 << 63) - 1]]
+        assert window_codes(ones, 63).tolist() == slow_window_codes(ones, 63)
+
+    @pytest.mark.parametrize("length,depth", [(0, 4), (5, 4), (64, 64)])
+    def test_rejects_lengths_outside_depth_and_int64(self, length, depth):
+        with pytest.raises(ValueError, match="window length"):
+            window_codes(np.zeros((2, depth), dtype=np.uint8), length)
+
+
 class TestSampleMatrix:
     def test_thread_count_does_not_change_results(self):
         model = MajorityVoteModel(k=3, source=fair_source(seed=8))
@@ -142,6 +173,12 @@ class TestSampleMatrix:
         for j, q in ((0, 0.75), (1, 0.25)):
             f = s.bits[:, j].mean()
             assert abs(f - q) <= 3 * math.sqrt(q * (1 - q) / n)
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_rejects_threads_below_one(self, threads):
+        model = MajorityVoteModel(k=3, source=fair_source())
+        with pytest.raises(ValueError, match="threads"):
+            sample_matrix(model, 4, 10, threads=threads)
 
     def test_threads_capped_at_cpu_count(self, monkeypatch):
         pools = []

@@ -108,7 +108,7 @@ def cmd_measure(args) -> int:
             "depth": args.depth,
             "samples": args.samples,
             "seed": args.seed,
-            "blocks": args.blocks,
+            "blocks": len(info.block_entropies),  # --blocks clamped to depth and MAX_BLOCK_LENGTH
         },
         "info_report": dataclasses.asdict(info),
         "correlation_report": dataclasses.asdict(corr),
@@ -241,8 +241,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FiqError, ValueError, OSError) as exc:
-        print(f"fiq: error: {exc}", file=sys.stderr)
+    except (FiqError, ValueError, OSError, MemoryError) as exc:
+        print(f"fiq: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -30,6 +30,7 @@ from .randombits import RandomBitSource, bias_threshold, threshold_bits
 from .rational import format_rational, parse_rational
 
 ENUMERATION_BIT_BOUND = 24
+SAMPLE_CHUNK_BITS = 1 << 16  # source bits per sample_matrix chunk; 2^17 and up measured slower
 
 
 @dataclass(frozen=True)
@@ -207,9 +208,11 @@ def sample_prefix(model: FiqModel, depth: int, stream_id: int | None = None) -> 
 def sample_matrix(model: FiqModel, depth: int, n_samples: int, threads: int = 1) -> SampleMatrix:
     """N realizations on streams stream_id .. stream_id+N-1, one per row.
 
-    Every stream id must fit in 64 bits.  Output is identical for any thread
-    count: rows are pure functions of their stream id, and chunks are
-    assembled in index order.  At most ``os.cpu_count()`` worker threads run.
+    Every stream id must fit in 64 bits.  Rows are drawn in chunks of at most
+    SAMPLE_CHUNK_BITS source bits and written in place into the result, so
+    peak memory is the result plus a fixed amount.  Output is identical for
+    any thread count, since rows are pure functions of their stream id.  At
+    most ``os.cpu_count()`` worker threads run.
     """
     if depth < 1 or n_samples < 1:
         raise ValueError("depth and n_samples must be >= 1")
@@ -218,15 +221,15 @@ def sample_matrix(model: FiqModel, depth: int, n_samples: int, threads: int = 1)
     base = model.source.stream_id
     if base + n_samples > 1 << 64:
         raise ValueError(f"streams {base} .. {base + n_samples - 1} do not fit in 64 bits")
-    streams = np.arange(base, base + n_samples, dtype=np.uint64)
-    workers = min(threads, os.cpu_count() or 1)
-    if workers <= 1 or n_samples < 2 * workers:
-        bits = model.sample(streams, depth)
-    else:
-        chunks = np.array_split(streams, workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda chunk: model.sample(chunk, depth), chunks))
-        bits = np.concatenate(parts, axis=0)
+    bits = np.empty((n_samples, depth), dtype=np.uint8)
+    rows = max(1, SAMPLE_CHUNK_BITS // model.generating_bits(depth))
+
+    def fill(start: int) -> None:
+        stop = min(start + rows, n_samples)
+        bits[start:stop] = model.sample(np.arange(base + start, base + stop, dtype=np.uint64), depth)
+
+    with ThreadPoolExecutor(max_workers=min(threads, os.cpu_count() or 1)) as pool:
+        list(pool.map(fill, range(0, n_samples, rows)))
     return SampleMatrix(bits=bits, stationary=model.stationary)
 
 

@@ -59,9 +59,11 @@ class TestMeasure:
         code = run_cli(["measure", "--model", model_file, "--depth", depth,
                         "--samples", "2000", "--seed", "5", "--blocks", blocks], tmp_path)
         assert code == 0
-        info = json.loads((tmp_path / "report.json").read_text())["info_report"]
+        doc = json.loads((tmp_path / "report.json").read_text())
+        info = doc["info_report"]
         assert len(info["block_entropies"]) == 1
         assert info["entropy_rate_estimate"] == info["block_entropies"][0]
+        assert doc["config"]["blocks"] == len(info["block_entropies"])
 
     def test_rerun_is_byte_identical(self, tmp_path, model_file):
         args = ["measure", "--model", model_file, "--depth", "6",
@@ -272,6 +274,19 @@ class TestMalformedInput:
                         "--samples", "5", "--seed", "1", "--threads", threads], tmp_path)
         assert code == 2
         assert f"threads must be >= 1, got {threads}" in capsys.readouterr().err
+        assert not (tmp_path / "samples.csv").exists()
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 3.64 TiB for an array", ""])
+    def test_memory_error_exits_2(self, tmp_path, capsys, monkeypatch, message):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(fiq.cli, "sample_matrix", out_of_memory)
+        code = run_cli(["sample", "--model", json.dumps(MAJORITY_MODEL), "--depth", "4",
+                        "--samples", "1000000000000", "--seed", "1"], tmp_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"fiq: error: {message or 'MemoryError'}\n"
         assert not (tmp_path / "samples.csv").exists()
 
     def test_model_file_not_an_object_exits_2(self, tmp_path, capsys):

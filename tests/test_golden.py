@@ -38,6 +38,8 @@ COMMANDS = {
     "sample": ["sample", "--model", BIASED, "--depth", "6", "--samples", "200"],
     "sample-majority-k3": ["sample", "--model", MAJORITY_K3, "--depth", "12", "--samples", "500",
                            "--threads", "2"],
+    "sample-majority-k3-chunks": ["sample", "--model", MAJORITY_K3, "--depth", "16",
+                                  "--samples", "50000", "--threads", "2"],
 }
 
 HASHED = {"samples.csv", "arith.json"}

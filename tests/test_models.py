@@ -205,6 +205,38 @@ class TestSampleMatrix:
         assert pools == [3]
         assert np.array_equal(capped.bits, sample_matrix(model, 12, 503, threads=1).bits)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("model", [
+        MajorityVoteModel(k=3, source=fair_source(seed=8)),
+        IndependentBitsModel(pv=PropensityVector.of(["3/4", "1/3"], tail=TailPolicy.HALF),
+                             source=fair_source(seed=8, stream=40)),
+    ], ids=["majority", "independent"])
+    def test_chunks_equal_one_call_over_all_streams(self, monkeypatch, model, threads):
+        depth, n = 9, 103
+        # five rows per chunk, so 103 rows end in a partial chunk
+        monkeypatch.setattr(fiq.models, "SAMPLE_CHUNK_BITS", 5 * model.generating_bits(depth) + 1)
+        streams = np.arange(model.source.stream_id, model.source.stream_id + n, dtype=np.uint64)
+        got = sample_matrix(model, depth, n, threads=threads).bits
+        assert got.dtype == np.uint8 and got.shape == (n, depth)
+        assert np.array_equal(got, model.sample(streams, depth))
+
+    def test_calls_bounded_by_chunk_and_cover_every_row_once(self, monkeypatch):
+        model = MajorityVoteModel(k=5, source=fair_source(seed=3, stream=7))
+        depth, n = 6, 50
+        monkeypatch.setattr(fiq.models, "SAMPLE_CHUNK_BITS", 4 * model.generating_bits(depth))
+        calls = []
+        sample = MajorityVoteModel.sample
+
+        def recording_sample(self, stream_ids, d):
+            calls.append(stream_ids.copy())
+            return sample(self, stream_ids, d)
+
+        monkeypatch.setattr(MajorityVoteModel, "sample", recording_sample)
+        sample_matrix(model, depth, n, threads=2)
+        assert max(len(c) for c in calls) <= 4
+        rows = np.sort(np.concatenate(calls)) - 7
+        assert rows.tolist() == list(range(n))
+
     def test_streams_must_fit_in_64_bits(self):
         top = (1 << 64) - 5
         model = MajorityVoteModel(k=3, source=fair_source(stream=top))

@@ -254,7 +254,7 @@ def prefix_values(sample: SampleMatrix) -> np.ndarray:
     d = sample.depth
     if d > 63:
         raise EnumerationBoundError(f"depth {d} exceeds the int64 prefix-value bound 63")
-    return window_codes(sample.bits, d)[:, 0]
+    return next(window_codes(sample.bits, d))
 
 
 def prefix_counts(sample: SampleMatrix) -> list[int]:

@@ -105,28 +105,14 @@ def correlated_info_from_dist(dist: Mapping[tuple, object]) -> "CandidateMeasure
 # sampling layer
 
 
-@dataclass(frozen=True)
-class MiEstimate:
-    value: float
-    noise_floor: float
-
-    @property
-    def significant(self) -> bool:
-        return self.value > self.noise_floor
-
-    @property
-    def thresholded(self) -> float:
-        return self.value if self.significant else 0.0
-
-
 def pairwise_joint_counts(s: SampleMatrix, i: int, j: int) -> dict[tuple[int, int], int]:
     codes = s.bits[:, i].astype(np.int64) * 2 + s.bits[:, j]
     counts = np.bincount(codes, minlength=4)
     return {(a, b): int(counts[2 * a + b]) for a in (0, 1) for b in (0, 1)}
 
 
-def pairwise_mi(s: SampleMatrix, i: int, j: int) -> MiEstimate:
-    """Plug-in MI of columns i and j with the chi-square noise floor.
+def pairwise_mi(s: SampleMatrix, i: int, j: int) -> float:
+    """Plug-in MI in bits of columns i and j.
 
     A constant column has no estimable dependence; its MI is defined as 0.
     """
@@ -135,13 +121,10 @@ def pairwise_mi(s: SampleMatrix, i: int, j: int) -> MiEstimate:
     n = s.n_samples
     if n < 100:
         raise ValueError(f"need at least 100 samples for MI estimation, got {n}")
-    floor = mi_noise_floor(n)
-    ci = s.bits[:, i]
-    cj = s.bits[:, j]
-    if ci.min() == ci.max() or cj.min() == cj.max():
-        return MiEstimate(value=0.0, noise_floor=floor)
     joint = pairwise_joint_counts(s, i, j)
-    return MiEstimate(value=mi_from_joint(joint), noise_floor=floor)
+    if joint[1, 0] + joint[1, 1] in (0, n) or joint[0, 1] + joint[1, 1] in (0, n):
+        return 0.0
+    return mi_from_joint(joint)
 
 
 def mi_matrix(s: SampleMatrix) -> np.ndarray:
@@ -152,8 +135,7 @@ def mi_matrix(s: SampleMatrix) -> np.ndarray:
     for i in range(d):
         out[i, i] = _h2(float(freqs[i]))
         for j in range(i + 1, d):
-            v = pairwise_mi(s, i, j).value
-            out[i, j] = out[j, i] = v
+            out[i, j] = out[j, i] = pairwise_mi(s, i, j)
     return out
 
 
@@ -188,7 +170,7 @@ def block_entropy(s: SampleMatrix, block_length: int) -> float:
             f"or the cap {MAX_BLOCK_LENGTH}"
         )
     bits = s.bits if s.stationary else s.bits[:, :block_length]
-    counts = np.bincount(window_codes(bits, block_length).ravel())
+    counts = sum(np.bincount(code, minlength=1 << block_length) for code in window_codes(bits, block_length))
     counts = counts[counts > 0]
     n = int(counts.sum())
     probs = counts / n

@@ -52,6 +52,7 @@ from .models import (
     json_float,
     json_int,
     model_from_json,
+    reject_unknown_fields,
     require_fields,
     sample_matrix,
     sample_prefix,
@@ -98,6 +99,10 @@ class ExperimentSpec:
     @classmethod
     def from_json(cls, data: Mapping, seed: int | None = None) -> "ExperimentSpec":
         require_fields(data, "experiment spec", "name", "model", "depth", "samples")
+        reject_unknown_fields(data, "experiment spec",
+                              "name", "model", "depth", "samples", "seed", "sigma", "constant")
+        if not isinstance(data["name"], str):
+            raise ValueError(f"experiment spec field 'name' must be a string, got {data['name']!r}")
         constant = data.get("constant")
         return cls(
             name=data["name"],

@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
-from typing import ClassVar, Mapping, Protocol, Sequence
+from typing import ClassVar, Iterator, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -180,20 +180,23 @@ class SampleMatrix:
         return self.bits.shape[1]
 
 
-def window_codes(bits: np.ndarray, length: int) -> np.ndarray:
-    """Big-endian int64 code of every ``length``-column window of ``bits``, shape (N, d - length + 1).
+def window_codes(bits: np.ndarray, length: int) -> Iterator[np.ndarray]:
+    """Big-endian int64 code of each ``length``-column window of ``bits``, left to right.
 
-    Entry [i, t] is sum_m bits[i, t + m] 2^(length - 1 - m), built in place one
-    column at a time: no (N, windows, length) array is ever materialized.
+    Yields one (N,) vector per window start t, holding sum_m bits[:, t + m]
+    2^(length - 1 - m).  It is the same vector every time, rolled in place to
+    the next window (drop the leaving bit, shift, add the next column), so a
+    caller that keeps one must copy it.
     """
     if not 1 <= length <= min(bits.shape[1], 63):
         raise ValueError(f"window length {length} is not in 1 .. min(depth {bits.shape[1]}, 63)")
-    width = bits.shape[1] - length + 1
-    codes = np.zeros((bits.shape[0], width), dtype=np.int64)
-    for t in range(length):
-        codes <<= 1
-        codes += bits[:, t:t + width]
-    return codes
+    code = np.zeros(bits.shape[0], dtype=np.int64)
+    for t in range(bits.shape[1]):
+        code &= (1 << (length - 1)) - 1
+        code <<= 1
+        code += bits[:, t]
+        if t >= length - 1:
+            yield code
 
 
 def sample_prefix(model: FiqModel, depth: int, stream_id: int | None = None) -> BitPrefix:
@@ -298,6 +301,13 @@ def require_fields(data, what: str, *keys: str) -> None:
             raise ValueError(f"{what} is missing required field {key!r}")
 
 
+def reject_unknown_fields(data: Mapping, what: str, *allowed: str) -> None:
+    """Reject a key of ``data`` that is not one of ``allowed``, as the schemas in docs/ do."""
+    for key in data:
+        if key not in allowed:
+            raise ValueError(f"{what} has unknown field {key!r}")
+
+
 def json_int(value, what: str) -> int:
     """``value`` as an int; a ValueError names ``what`` when it is not one.
 
@@ -338,9 +348,11 @@ def model_from_json(
                              stream_id=json_int(use_stream, "model field 'stream'"))
     if kind == "independent":
         require_fields(data, "independent model JSON", "pv")
+        reject_unknown_fields(data, "independent model JSON", "type", "pv", "seed", "stream")
         return IndependentBitsModel(pv=PropensityVector.from_json(data["pv"]), source=source)
     if kind == "majority":
         require_fields(data, "majority model JSON", "k")
+        reject_unknown_fields(data, "majority model JSON", "type", "k", "bias", "seed", "stream")
         source = replace(source, bias=parse_rational(str(data.get("bias", "1/2"))))
         return MajorityVoteModel(k=json_int(data["k"], "model field 'k'"), source=source)
     raise ValueError(f"unknown model type {kind!r}")

@@ -134,7 +134,7 @@ def test_criterion_3_majority_statistics():
                 assert abs(f - p) <= 3 * math.sqrt(p * (1 - p) / n)
         for i, j in [(0, 3), (1, 4), (2, 5)]:
             assert joint_is_independent(exact_window_joint(3, Fraction(1, 2), [i + 1, j + 1]))
-            assert pairwise_mi(s, i, j).thresholded == 0.0
+            assert pairwise_mi(s, i, j) <= mi_noise_floor(n)
 
 
 def test_criterion_4_arithmetic_soundness():

@@ -174,6 +174,9 @@ class TestMalformedInput:
         ({"type": "independent", "pv": {"prefix": ["3/4", [1, 2]]}}, "prefix"),
         ({"type": "majority", "k": 3.5}, "k"),
         ({"type": "majority", "k": True}, "k"),
+        ({"type": "majority", "k": 3, "kk": 5}, "kk"),
+        ({"type": "majority", "k": 3, "pv": {"prefix": []}}, "pv"),
+        ({"type": "independent", "pv": {"prefix": []}, "bias": "1/3"}, "bias"),
     ])
     def test_model_bad_value_exits_2(self, tmp_path, capsys, model, field):
         code = run_cli(["sample", "--model", json.dumps(model), "--depth", "4",
@@ -218,6 +221,9 @@ class TestMalformedInput:
         ("depth", 12.5),
         ("depth", True),
         ("samples", 1000.5),
+        ("sigam", 0.001),
+        ("name", None),
+        ("name", 3),
     ])
     def test_spec_bad_value_exits_2(self, tmp_path, capsys, field, value):
         from fiq.experiments import preset_spec

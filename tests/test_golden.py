@@ -25,6 +25,8 @@ REL = 1e-12
 MAJORITY_K3 = json.dumps({"type": "majority", "k": 3})
 BIASED = json.dumps({"type": "independent",
                      "pv": {"prefix": ["3/4", "1/3", "3/4"], "tail": "half"}})
+CONSTANT_COLUMNS = json.dumps({"type": "independent",
+                               "pv": {"prefix": ["1", "3/4", "0", "1/3"], "tail": "half"}})
 
 COMMANDS = {
     "units-biased-x3": ["experiment", "units", "--preset", "biased-x3"],
@@ -35,6 +37,10 @@ COMMANDS = {
                      "--depth", "10", "--samples", "20000"],
     "measure": ["measure", "--model", MAJORITY_K3, "--depth", "8", "--samples", "5000",
                 "--blocks", "4", "--mi-csv"],
+    "measure-majority-k3-pooled": ["measure", "--model", MAJORITY_K3, "--depth", "16",
+                                   "--samples", "20000", "--blocks", "12", "--mi-csv"],
+    "measure-constant-columns": ["measure", "--model", CONSTANT_COLUMNS, "--depth", "8",
+                                 "--samples", "5000", "--blocks", "8", "--mi-csv"],
     "sample": ["sample", "--model", BIASED, "--depth", "6", "--samples", "200"],
     "sample-majority-k3": ["sample", "--model", MAJORITY_K3, "--depth", "12", "--samples", "500",
                            "--threads", "2"],

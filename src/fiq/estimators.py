@@ -106,9 +106,14 @@ def correlated_info_from_dist(dist: Mapping[tuple, object]) -> "CandidateMeasure
 
 
 def pairwise_joint_counts(s: SampleMatrix, i: int, j: int) -> dict[tuple[int, int], int]:
-    codes = s.bits[:, i].astype(np.int64) * 2 + s.bits[:, j]
-    counts = np.bincount(codes, minlength=4)
-    return {(a, b): int(counts[2 * a + b]) for a in (0, 1) for b in (0, 1)}
+    """2x2 counts of columns i and j, keyed (bit i, bit j), read off ``s.pair_counts``.
+
+    Those counts are computed once per sample: do not write ``s.bits`` after the first call.
+    """
+    g = s.pair_counts
+    n11 = int(g[i, j])
+    return {(0, 0): s.n_samples - int(g[i, i]) - int(g[j, j]) + n11, (0, 1): int(g[j, j]) - n11,
+            (1, 0): int(g[i, i]) - n11, (1, 1): n11}
 
 
 def pairwise_mi(s: SampleMatrix, i: int, j: int) -> float:
@@ -131,7 +136,7 @@ def mi_matrix(s: SampleMatrix) -> np.ndarray:
     """Symmetric d x d matrix: plug-in MI off-diagonal, marginal entropy on it."""
     d = s.depth
     out = np.zeros((d, d))
-    freqs = s.bits.mean(axis=0)
+    freqs = s.pair_counts.diagonal() / s.n_samples
     for i in range(d):
         out[i, i] = _h2(float(freqs[i]))
         for j in range(i + 1, d):
@@ -149,7 +154,7 @@ class CorrelationReport:
 
 def correlation_report(s: SampleMatrix) -> CorrelationReport:
     return CorrelationReport(
-        marginals=[float(f) for f in s.bits.mean(axis=0)],
+        marginals=[float(f) for f in s.pair_counts.diagonal() / s.n_samples],
         mi_matrix=mi_matrix(s),
         n_samples=s.n_samples,
         noise_floor=mi_noise_floor(s.n_samples),
@@ -211,7 +216,7 @@ class CandidateMeasures:
 def correlated_info_content(s: SampleMatrix, d: int) -> CandidateMeasures:
     if d < 1 or d > min(s.depth, MAX_BLOCK_LENGTH):
         raise ValueError(f"d must be in [1, {min(s.depth, MAX_BLOCK_LENGTH)}], got {d}")
-    freqs = s.bits[:, :d].mean(axis=0)
+    freqs = s.pair_counts.diagonal()[:d] / s.n_samples
     per_bit = math.fsum(1.0 - _h2(float(f)) for f in freqs)
     joint_h = block_entropy(SampleMatrix(bits=s.bits, stationary=False), d)  # first d columns
     return CandidateMeasures(per_bit_sum=per_bit, multi_information=d - joint_h)
@@ -228,7 +233,7 @@ class InfoReport:
 
 def info_report(s: SampleMatrix, l_max: int = 8) -> InfoReport:
     """Independent-bit measure on empirical marginals plus block diagnostics."""
-    terms = [1.0 - _h2(float(f)) for f in s.bits.mean(axis=0)]
+    terms = [1.0 - _h2(float(f)) for f in s.pair_counts.diagonal() / s.n_samples]
     rate = entropy_rate(s, min(l_max, s.depth, MAX_BLOCK_LENGTH))
     return InfoReport(
         measure_name="entropy-complement-sum",

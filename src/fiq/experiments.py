@@ -43,6 +43,7 @@ from .estimators import (
     mi_noise_floor,
     pairwise_joint_counts,
 )
+from .jsonfields import reject_unknown_fields, require_fields
 from .models import (
     FiqModel,
     IndependentBitsModel,
@@ -52,8 +53,6 @@ from .models import (
     json_float,
     json_int,
     model_from_json,
-    reject_unknown_fields,
-    require_fields,
     sample_matrix,
     sample_prefix,
 )
@@ -290,7 +289,7 @@ def run_majority_study(spec: ExperimentSpec) -> ExperimentVerdict:
 
     # (i) every marginal matches the exact window probability
     p1 = float(exact_window_joint(k, bias, [1])[(1,)])
-    freqs = sample.bits.mean(axis=0)
+    freqs = sample.pair_counts.diagonal() / n
     z_marg = max(abs(float(f) - p1) / math.sqrt(p1 * (1 - p1) / n) for f in freqs)
     claims.append(Claim(
         statement="every bit marginal matches the exact window probability",

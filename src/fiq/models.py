@@ -18,6 +18,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
 from math import comb
 from typing import ClassVar, Iterator, Mapping, Protocol, Sequence
@@ -25,6 +26,7 @@ from typing import ClassVar, Iterator, Mapping, Protocol, Sequence
 import numpy as np
 
 from .errors import EnumerationBoundError
+from .jsonfields import reject_unknown_fields, require_fields
 from .propensity import PropensityVector, as_propensity
 from .randombits import RandomBitSource, bias_threshold, threshold_bits
 from .rational import format_rational, parse_rational
@@ -165,7 +167,8 @@ class SampleMatrix:
 
     ``stationary`` records whether the generating process is shift-invariant
     across bit positions (true for majority-vote models), which decides
-    whether block statistics may pool across positions.
+    whether block statistics may pool across positions.  ``pair_counts`` is
+    computed once per sample: ``bits`` must not be written after it is read.
     """
 
     bits: np.ndarray  # (N, d) uint8
@@ -178,6 +181,16 @@ class SampleMatrix:
     @property
     def depth(self) -> int:
         return self.bits.shape[1]
+
+    @cached_property
+    def pair_counts(self) -> np.ndarray:
+        """(d, d) int64 BᵀB: rows with both bits set, and each column's ones on the diagonal."""
+        rows = max(1, SAMPLE_CHUNK_BITS // self.depth)  # float32 sums are exact below 2^24 rows
+        gram = np.zeros((self.depth, self.depth), dtype=np.int64)
+        for start in range(0, self.n_samples, rows):
+            chunk = self.bits[start:start + rows].astype(np.float32)
+            gram += (chunk.T @ chunk).astype(np.int64)
+        return gram
 
 
 def window_codes(bits: np.ndarray, length: int) -> Iterator[np.ndarray]:
@@ -291,22 +304,6 @@ def exact_window_joint(
 
 # ---------------------------------------------------------------------------
 # serialization
-
-def require_fields(data, what: str, *keys: str) -> None:
-    """Reject a JSON document that is not an object or lacks one of ``keys``."""
-    if not isinstance(data, Mapping):
-        raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
-    for key in keys:
-        if key not in data:
-            raise ValueError(f"{what} is missing required field {key!r}")
-
-
-def reject_unknown_fields(data: Mapping, what: str, *allowed: str) -> None:
-    """Reject a key of ``data`` that is not one of ``allowed``, as the schemas in docs/ do."""
-    for key in data:
-        if key not in allowed:
-            raise ValueError(f"{what} has unknown field {key!r}")
-
 
 def json_int(value, what: str) -> int:
     """``value`` as an int; a ValueError names ``what`` when it is not one.

@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
 from .errors import DepthBeyondKnowledgeError
+from .jsonfields import reject_unknown_fields, require_fields
 from .rational import format_rational, parse_rational
 
 HALF = Fraction(1, 2)
@@ -87,14 +88,17 @@ class PropensityVector:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "PropensityVector":
-        prefix = data.get("prefix", []) if isinstance(data, Mapping) else None
-        if not isinstance(prefix, list):
-            raise ValueError(f"model field 'pv' must be an object with a 'prefix' list, got {data!r}")
+        require_fields(data, "model field 'pv'", "prefix", "tail")
+        reject_unknown_fields(data, "model field 'pv'", "prefix", "tail")
+        if not isinstance(data["prefix"], list):
+            raise ValueError(f"model field 'prefix' must be a list, got {data['prefix']!r}")
         try:
-            entries = tuple(as_propensity(q) for q in prefix)
+            entries = tuple(as_propensity(q) for q in data["prefix"])
         except ValueError as exc:
             raise ValueError(f"model field 'prefix': {exc}") from None
-        return cls(entries, TailPolicy(data.get("tail", "half")))
+        if data["tail"] not in [t.value for t in TailPolicy]:  # a list, so an unhashable tail is no TypeError
+            raise ValueError(f"model field 'tail' must be 'half' or 'unspecified', got {data['tail']!r}")
+        return cls(entries, TailPolicy(data["tail"]))
 
 
 def binary_entropy(q: RationalLike) -> float:

@@ -157,6 +157,9 @@ class TestMalformedInput:
     @pytest.mark.parametrize("model,field", [
         ({"type": "majority"}, "k"),
         ({"type": "independent"}, "pv"),
+        ({"type": "independent", "pv": {"prefix": ["3/4"], "tial": "unspecified"}}, "tail"),
+        ({"type": "independent", "pv": {"prefix": ["3/4"]}}, "tail"),
+        ({"type": "independent", "pv": {"tail": "half"}}, "prefix"),
     ])
     def test_model_missing_field_exits_2(self, tmp_path, capsys, model, field):
         code = run_cli(["sample", "--model", json.dumps(model), "--depth", "4",
@@ -168,15 +171,18 @@ class TestMalformedInput:
         ({"type": "majority", "k": None}, "k"),
         ({"type": "majority", "k": [3]}, "k"),
         ({"type": "independent", "pv": 3}, "pv"),
-        ({"type": "independent", "pv": {"prefix": 3}}, "prefix"),
+        ({"type": "independent", "pv": {"prefix": 3, "tail": "half"}}, "prefix"),
         ({"type": "majority", "k": 3, "stream": None}, "stream"),
-        ({"type": "independent", "pv": {"prefix": [None]}}, "prefix"),
-        ({"type": "independent", "pv": {"prefix": ["3/4", [1, 2]]}}, "prefix"),
+        ({"type": "independent", "pv": {"prefix": [None], "tail": "half"}}, "prefix"),
+        ({"type": "independent", "pv": {"prefix": ["3/4", [1, 2]], "tail": "half"}}, "prefix"),
         ({"type": "majority", "k": 3.5}, "k"),
         ({"type": "majority", "k": True}, "k"),
         ({"type": "majority", "k": 3, "kk": 5}, "kk"),
         ({"type": "majority", "k": 3, "pv": {"prefix": []}}, "pv"),
         ({"type": "independent", "pv": {"prefix": []}, "bias": "1/3"}, "bias"),
+        ({"type": "independent", "pv": {"prefix": ["3/4"], "tail": "half", "bias": "1/3"}}, "bias"),
+        ({"type": "independent", "pv": {"prefix": ["3/4"], "tail": "quarter"}}, "tail"),
+        ({"type": "independent", "pv": {"prefix": ["3/4"], "tail": [1]}}, "tail"),
     ])
     def test_model_bad_value_exits_2(self, tmp_path, capsys, model, field):
         code = run_cli(["sample", "--model", json.dumps(model), "--depth", "4",
@@ -253,7 +259,7 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("mode", ["exact", "sample"])
     def test_arith_negative_depth_exits_2(self, tmp_path, capsys, mode):
-        model = {"type": "independent", "pv": {"prefix": ["3/4"]}}
+        model = {"type": "independent", "pv": {"prefix": ["3/4"], "tail": "half"}}
         code = run_cli(["arith", "--mode", mode, "--model", json.dumps(model), "--constant", "3",
                         "--depth", "-1", "--seed", "1"], tmp_path)
         assert code == 2

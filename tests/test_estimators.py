@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import fiq.models
 from fiq.estimators import (
     SampleMatrix,
     block_entropy,
@@ -18,7 +19,9 @@ from fiq.estimators import (
     info_report,
     joint_is_independent,
     mi_from_joint,
+    mi_matrix,
     mi_noise_floor,
+    pairwise_joint_counts,
     pairwise_mi,
 )
 from fiq.models import (
@@ -147,6 +150,74 @@ class TestPairwiseMi:
         est = pairwise_mi(s, 0, 1)
         assert est == pytest.approx(ADJACENT_MI, abs=0.01)
         assert est > mi_noise_floor(100_000)
+
+
+def slow_joint_counts(bits, i, j):
+    """2x2 counts of columns i and j by one bincount over the pair codes."""
+    counts = np.bincount(bits[:, i].astype(np.int64) * 2 + bits[:, j], minlength=4)
+    return {(a, b): int(counts[2 * a + b]) for a in (0, 1) for b in (0, 1)}
+
+
+def random_bits(n, d, seed):
+    """Columns of random density, the first all zeros and the last all ones when d > 1."""
+    rng = np.random.default_rng(seed)
+    density = rng.random(d)
+    if d > 1:
+        density[0], density[-1] = 0.0, 1.0
+    return (rng.random((n, d)) < density).astype(np.uint8)
+
+
+class TestPairCounts:
+    """The Gram matrix and the 2x2 tables read off it, against per-pair bincounts."""
+
+    def assert_matches_reference(self, bits):
+        s = SampleMatrix(bits=bits, stationary=False)
+        d = bits.shape[1]
+        expected = np.array([[slow_joint_counts(bits, i, j)[1, 1] for j in range(d)] for i in range(d)])
+        assert s.pair_counts.dtype == np.int64
+        assert np.array_equal(s.pair_counts, expected)
+        for i in range(d):
+            for j in range(d):
+                if i != j:
+                    assert list(pairwise_joint_counts(s, i, j).items()) == list(slow_joint_counts(bits, i, j).items())
+
+    @pytest.mark.parametrize("n,d,seed", [(10_007, 16, 1), (4097, 5, 2), (300, 1, 3), (7, 3, 4),
+                                          (5003, 40, 5)])
+    def test_random_matrices(self, n, d, seed):
+        # at the default chunk size none of these N is a multiple of the chunk rows
+        assert n % max(1, fiq.models.SAMPLE_CHUNK_BITS // d)
+        self.assert_matches_reference(random_bits(n, d, seed))
+
+    @pytest.mark.parametrize("d", [1, 4, 9])
+    def test_many_chunks(self, monkeypatch, d):
+        monkeypatch.setattr(fiq.models, "SAMPLE_CHUNK_BITS", 3 * d + 1)  # 3 rows per chunk
+        self.assert_matches_reference(random_bits(1001, d, seed=d))
+
+    @pytest.mark.parametrize("value", [0, 1])
+    def test_one_constant_column(self, value):
+        self.assert_matches_reference(np.full((500, 1), value, dtype=np.uint8))
+
+    def test_chunks_stay_exact_in_float32(self):
+        # a chunk has at most SAMPLE_CHUNK_BITS rows for any depth >= 1
+        assert all(max(1, fiq.models.SAMPLE_CHUNK_BITS // depth) < 1 << 24 for depth in range(1, 65))
+        # a count past 2^24 is summed across chunks in int64, where float32 would round it
+        s = SampleMatrix(bits=np.ones(((1 << 24) + 1, 1), dtype=np.uint8), stationary=False)
+        assert s.pair_counts[0, 0] == (1 << 24) + 1
+
+    def test_mi_matrix_holds_less_than_one_int64_column(self, monkeypatch):
+        # one int64 copy of a column is n * 8 bytes; the per-pair codes held at least that
+        n = 200_000
+        s = fair_iid(n, 16)
+        tracemalloc.start()
+        try:
+            first = mi_matrix(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * 8
+        # building the counts again would read the chunk size, which now fails
+        monkeypatch.setattr(fiq.models, "SAMPLE_CHUNK_BITS", None)
+        assert np.array_equal(mi_matrix(s), first)
 
 
 class TestBlockEntropy:

@@ -134,4 +134,4 @@ class TestVector:
             with pytest.raises(ValueError, match="is not a rational number"):
                 as_propensity(bad)
         with pytest.raises(ValueError, match="model field 'prefix'"):
-            PropensityVector.from_json({"prefix": ["3/4", None]})
+            PropensityVector.from_json({"prefix": ["3/4", None], "tail": "half"})

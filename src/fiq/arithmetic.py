@@ -57,10 +57,6 @@ class DeterminedDigits:
     integer_part: int | None
     fraction_bits: tuple[int, ...]
 
-    def as_string(self) -> str:
-        head = "?" if self.integer_part is None else str(self.integer_part)
-        return f"{head}.{''.join(str(b) for b in self.fraction_bits)}"
-
 
 def prefix_to_interval(p: BitPrefix) -> PartialNumber:
     """Dyadic interval [value, value + 2^-d) of a depth-d prefix."""
@@ -181,43 +177,36 @@ def digit_law(table: Sequence[DeterminedDigits], weights: Iterable) -> dict:
     return law
 
 
-def digit_joint(law: Mapping[DeterminedDigits, object], positions: Sequence[int]) -> dict:
-    """Joint weight of the fraction digits at the 1-based ``positions``.
+def leading_digits(law: Mapping[DeterminedDigits, object]) -> dict[tuple[int, ...], object]:
+    """Total weight of each entry's determined fraction digits, cut after the last pair position.
 
-    An entry contributes only when its integer part and its fraction digits
-    up to max(positions) are determined; undetermined entries are excluded,
-    so the joint may total less than the law.
+    Entries with an undetermined integer part are left out, so the result may
+    total less than the law.  Keys keep the order of their first entry.
     """
-    last = max(positions)
-    joint: dict = {}
+    last = max(DIGIT_PAIR_POSITIONS)
+    leading: dict = {}
     for dd, w in law.items():
-        if dd.integer_part is None or len(dd.fraction_bits) < last:
-            continue
-        key = tuple(dd.fraction_bits[p - 1] for p in positions)
-        joint[key] = joint.get(key, 0) + w
-    return joint
+        if dd.integer_part is not None:
+            key = dd.fraction_bits[:last]
+            leading[key] = leading.get(key, 0) + w
+    return leading
 
 
 def digit_pair_joints(law: Mapping[DeterminedDigits, object]) -> dict[tuple[int, int], dict]:
-    """``digit_joint`` of every pair i < j of ``DIGIT_PAIR_POSITIONS``."""
-    return {pair: digit_joint(law, pair) for pair in itertools.combinations(DIGIT_PAIR_POSITIONS, 2)}
+    """Joint weight of the fraction digits at every pair i < j of ``DIGIT_PAIR_POSITIONS``.
 
-
-def exact_digit_pair_joints(
-    law: Mapping[DeterminedDigits, Fraction],
-) -> dict[tuple[int, int], dict[tuple[int, int], Fraction]]:
-    """``digit_pair_joints`` of an exact law, summed as integers.
-
-    The weights are put over the law's common denominator and summed as
-    ints, and each joint cell becomes one Fraction: the same cells, values
-    and order as adding the Fractions entry by entry, without a gcd per entry.
+    The (i, j) joint sums the ``leading_digits`` keys that determine digit j,
+    so its cells keep the order of their first law entry.
     """
-    denominator = math.lcm(*(w.denominator for w in law.values()))
-    numerators = {dd: w.numerator * (denominator // w.denominator) for dd, w in law.items()}
-    return {
-        pair: {cell: Fraction(n, denominator) for cell, n in joint.items()}
-        for pair, joint in digit_pair_joints(numerators).items()
-    }
+    leading = leading_digits(law)
+    joints = {}
+    for i, j in itertools.combinations(DIGIT_PAIR_POSITIONS, 2):
+        joint = joints[(i, j)] = {}
+        for key, w in leading.items():
+            if len(key) >= j:
+                cell = (key[i - 1], key[j - 1])
+                joint[cell] = joint.get(cell, 0) + w
+    return joints
 
 
 def scale_fiq_truncated(

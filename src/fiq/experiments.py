@@ -27,10 +27,9 @@ from typing import Mapping
 
 from .arithmetic import (
     DIGIT_PAIR_POSITIONS,
-    digit_joint,
     digit_law,
     digit_pair_joints,
-    exact_digit_pair_joints,
+    leading_digits,
     prefix_counts,
     scale_fiq_truncated,
     scaled_digit_table,
@@ -43,22 +42,20 @@ from .estimators import (
     mi_noise_floor,
     pairwise_joint_counts,
 )
-from .jsonfields import reject_unknown_fields, require_fields
+from .jsonfields import json_float, json_int, json_rational, reject_unknown_fields, require_fields
 from .models import (
     FiqModel,
     IndependentBitsModel,
     MajorityVoteModel,
     enumeration_span,
     exact_window_joint,
-    json_float,
-    json_int,
     model_from_json,
     sample_matrix,
     sample_prefix,
 )
 from .propensity import HALF
 from .randombits import RandomBitSource
-from .rational import format_rational, parse_rational
+from .rational import format_rational
 
 
 @dataclass(frozen=True)
@@ -102,13 +99,13 @@ class ExperimentSpec:
                               "name", "model", "depth", "samples", "seed", "sigma", "constant")
         if not isinstance(data["name"], str):
             raise ValueError(f"experiment spec field 'name' must be a string, got {data['name']!r}")
-        constant = data.get("constant")
         return cls(
             name=data["name"],
             model=model_from_json(data["model"], seed=seed if seed is not None else data.get("seed")),
             depth=json_int(data["depth"], "experiment spec field 'depth'"),
             samples=json_int(data["samples"], "experiment spec field 'samples'"),
-            constant=None if constant is None else parse_rational(str(constant)),
+            constant=json_rational(data["constant"], "experiment spec field 'constant'")
+            if "constant" in data else None,
             sigma=json_float(data.get("sigma", 3.0), "experiment spec field 'sigma'"),
         )
 
@@ -162,8 +159,7 @@ def _cell_agreement_z(
     """Largest binomial z-score across cells; exact-zero cells must be empty."""
     worst = 0.0
     ok = True
-    cells = {(a, b) for a in (0, 1) for b in (0, 1)}
-    for cell in cells:
+    for cell in ((0, 0), (0, 1), (1, 0), (1, 1)):
         p = float(exact_joint.get(cell, Fraction(0)))
         f = count_joint.get(cell, 0) / n_total
         if p == 0.0 or p == 1.0:
@@ -191,7 +187,7 @@ def run_units_critique(spec: ExperimentSpec) -> ExperimentVerdict:
     biased = any(q != HALF for q in model.pv.prefix)
     expect_correlation = biased and not _is_power_of_two(c)
 
-    exact_joints = exact_digit_pair_joints(scale_fiq_truncated(model, c, spec.depth))
+    exact_joints = digit_pair_joints(scale_fiq_truncated(model, c, spec.depth))
     exact_mi = {pair: mi_from_joint(j) for pair, j in exact_joints.items()}
     exact_indep = {pair: joint_is_independent(j) for pair, j in exact_joints.items()}
     claims = [Claim(
@@ -282,6 +278,10 @@ def run_majority_study(spec: ExperimentSpec) -> ExperimentVerdict:
         raise ValueError("majority study requires a majority-vote model")
     k = model.k
     bias = model.source.bias
+    if spec.depth < 2:  # claim (ii) compares bits 1 and 2
+        raise ValueError(f"experiment spec field 'depth' must be >= 2 for this study, got {spec.depth}")
+    if not 0 < bias < 1:  # constant source bits leave every z-score undefined
+        raise ValueError(f"model field 'bias' must be in (0, 1) for this study, got '{bias}'")
     enumeration_span(k, [1, 1 + k] if spec.depth > k + 1 else [1, 2])  # widest joint, before any work
     sample = sample_matrix(model, spec.depth, spec.samples, threads=spec.threads)
     n = spec.samples
@@ -421,8 +421,8 @@ def run_units_on_majority(spec: ExperimentSpec) -> ExperimentVerdict:
             for (i, j) in out_mi
         ],
     }
-    # output-digit marginal measure over the designated positions
-    out_counts = digit_joint(law, DIGIT_PAIR_POSITIONS)
+    # output-digit joint over all the designated positions: the keys that determine the last one
+    out_counts = {key: w for key, w in leading_digits(law).items() if len(key) == max(DIGIT_PAIR_POSITIONS)}
     if out_counts:
         after = correlated_info_from_dist(out_counts)
         tables["candidate_measures"].append({"stage": "output", **asdict(after)})

@@ -26,10 +26,10 @@ from typing import ClassVar, Iterator, Mapping, Protocol, Sequence
 import numpy as np
 
 from .errors import EnumerationBoundError
-from .jsonfields import reject_unknown_fields, require_fields
+from .jsonfields import json_int, json_rational, reject_unknown_fields, require_fields
 from .propensity import PropensityVector, as_propensity
 from .randombits import RandomBitSource, bias_threshold, threshold_bits
-from .rational import format_rational, parse_rational
+from .rational import format_rational
 
 ENUMERATION_BIT_BOUND = 24
 SAMPLE_CHUNK_BITS = 1 << 16  # source bits per sample_matrix chunk; 2^17 and up measured slower
@@ -305,30 +305,6 @@ def exact_window_joint(
 # ---------------------------------------------------------------------------
 # serialization
 
-def json_int(value, what: str) -> int:
-    """``value`` as an int; a ValueError names ``what`` when it is not one.
-
-    A boolean or a float with a fractional part is not an integer: it is
-    rejected, not truncated.
-    """
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
-
-
-def json_float(value, what: str) -> float:
-    """``value`` as a float; a ValueError names ``what`` when it is not a number."""
-    if isinstance(value, bool):
-        raise ValueError(f"{what} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{what} must be a number, got {value!r}") from None
-
-
 def model_from_json(
     data: Mapping,
     seed: int | None = None,
@@ -350,6 +326,6 @@ def model_from_json(
     if kind == "majority":
         require_fields(data, "majority model JSON", "k")
         reject_unknown_fields(data, "majority model JSON", "type", "k", "bias", "seed", "stream")
-        source = replace(source, bias=parse_rational(str(data.get("bias", "1/2"))))
+        source = replace(source, bias=json_rational(data.get("bias", "1/2"), "model field 'bias'"))
         return MajorityVoteModel(k=json_int(data["k"], "model field 'k'"), source=source)
     raise ValueError(f"unknown model type {kind!r}")

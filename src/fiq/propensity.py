@@ -15,10 +15,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 from .errors import DepthBeyondKnowledgeError
-from .jsonfields import reject_unknown_fields, require_fields
+from .jsonfields import json_rational, reject_unknown_fields, require_fields
 from .rational import format_rational, parse_rational
 
 HALF = Fraction(1, 2)
@@ -49,7 +49,8 @@ class PropensityVector:
     """An explicit propensity prefix plus a tail policy.
 
     With ``TailPolicy.HALF`` the vector denotes the infinite sequence
-    [q_1 .. q_M, 1/2, 1/2, ...].
+    [q_1 .. q_M, 1/2, 1/2, ...].  ``prefix`` may be any iterable of rationals
+    or "p/q" strings; each entry is coerced through ``as_propensity``.
     """
 
     prefix: tuple[Fraction, ...]
@@ -59,10 +60,6 @@ class PropensityVector:
         object.__setattr__(self, "prefix", tuple(as_propensity(q) for q in self.prefix))
         if not isinstance(self.tail, TailPolicy):
             raise TypeError(f"tail must be a TailPolicy, got {self.tail!r}")
-
-    @classmethod
-    def of(cls, entries: Iterable[RationalLike], tail: TailPolicy = TailPolicy.HALF) -> "PropensityVector":
-        return cls(tuple(as_propensity(q) for q in entries), tail)
 
     @property
     def prefix_length(self) -> int:
@@ -92,13 +89,13 @@ class PropensityVector:
         reject_unknown_fields(data, "model field 'pv'", "prefix", "tail")
         if not isinstance(data["prefix"], list):
             raise ValueError(f"model field 'prefix' must be a list, got {data['prefix']!r}")
-        try:
-            entries = tuple(as_propensity(q) for q in data["prefix"])
-        except ValueError as exc:
-            raise ValueError(f"model field 'prefix': {exc}") from None
+        entries = [json_rational(q, "model field 'prefix'") for q in data["prefix"]]
         if data["tail"] not in [t.value for t in TailPolicy]:  # a list, so an unhashable tail is no TypeError
             raise ValueError(f"model field 'tail' must be 'half' or 'unspecified', got {data['tail']!r}")
-        return cls(entries, TailPolicy(data["tail"]))
+        try:
+            return cls(entries, TailPolicy(data["tail"]))
+        except ValueError as exc:  # an entry outside [0, 1]
+            raise ValueError(f"model field 'prefix': {exc}") from None
 
 
 def binary_entropy(q: RationalLike) -> float:

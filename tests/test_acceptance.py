@@ -103,7 +103,7 @@ def test_criterion_2_independent_measure():
             for _ in range(m):
                 den = rng.randrange(1, 1000)
                 entries.append(Fraction(rng.randrange(0, den + 1), den))
-            pv = PropensityVector.of(entries)
+            pv = PropensityVector(entries)
             oracle = math.fsum(float(1 - entropy_oracle(q)) for q in entries)
             got = information_content_independent(pv).bits
             assert abs(got - oracle) < 1e-12
@@ -178,7 +178,7 @@ def test_criterion_4_arithmetic_soundness():
 def test_criterion_5_change_of_units_critique():
     with report(5, "change-of-units critique: exact MI > 0, Monte Carlo agrees", 60.0):
         n, depth = 100_000, 12
-        model = IndependentBitsModel(pv=PropensityVector.of(["3/4", "3/4"]),
+        model = IndependentBitsModel(pv=PropensityVector(["3/4", "3/4"]),
                                      source=RandomBitSource(seed=1))
         dist = scale_fiq_truncated(model, Fraction(3), depth)
         joints = digit_pair_joints(dist)
@@ -207,7 +207,7 @@ def test_criterion_5_change_of_units_critique():
                     assert abs(f - p) <= 3 * math.sqrt(p * (1 - p) / n)
 
         # control: uniform quantity scaled by 3 stays digit-independent
-        uniform = IndependentBitsModel(pv=PropensityVector.of([]),
+        uniform = IndependentBitsModel(pv=PropensityVector([]),
                                        source=RandomBitSource(seed=1))
         udist = scale_fiq_truncated(uniform, Fraction(3), depth)
         ujoints = digit_pair_joints(udist)
@@ -264,7 +264,7 @@ def test_criterion_7_estimator_calibration():
         assert abs(cm.multi_information - 4.0) < 1e-9
 
         # sampled i.i.d. fair bits
-        model = IndependentBitsModel(pv=PropensityVector.of([]),
+        model = IndependentBitsModel(pv=PropensityVector([]),
                                      source=RandomBitSource(seed=17))
         s = sample_matrix(model, 16, 100_000)
         assert abs(entropy_rate(s, 8).rate - 1.0) <= 0.02

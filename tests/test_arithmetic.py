@@ -7,12 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fiq.arithmetic import (
+    DIGIT_PAIR_POSITIONS,
     DeterminedDigits,
     PartialNumber,
     determined_digits,
+    digit_law,
     digit_pair_joints,
     digits_of_rational,
-    exact_digit_pair_joints,
+    leading_digits,
+    prefix_counts,
     prefix_to_interval,
     prefix_values,
     scale_by_constant,
@@ -20,7 +23,7 @@ from fiq.arithmetic import (
     scaled_digit_table,
 )
 from fiq.errors import EnumerationBoundError
-from fiq.models import BitPrefix, IndependentBitsModel, SampleMatrix
+from fiq.models import BitPrefix, IndependentBitsModel, SampleMatrix, sample_matrix
 from fiq.propensity import PropensityVector
 from fiq.randombits import RandomBitSource
 
@@ -33,7 +36,7 @@ def interval(lo, hi):
 
 
 def model_of(prefix):
-    return IndependentBitsModel(pv=PropensityVector.of(prefix),
+    return IndependentBitsModel(pv=PropensityVector(prefix),
                                 source=RandomBitSource(seed=0))
 
 
@@ -99,10 +102,6 @@ class TestDeterminedDigits:
         dd = determined_digits(interval(0, 1))
         assert dd.integer_part == 0
         assert dd.fraction_bits == ()
-
-    def test_as_string(self):
-        assert DeterminedDigits(2, (0, 1)).as_string() == "2.01"
-        assert DeterminedDigits(None, ()).as_string() == "?."
 
 
 def all_prefixes(max_depth):
@@ -184,21 +183,58 @@ class TestScaledDigitTable:
             scaled_digit_table(Fraction(0), 4)
 
 
-class TestExactDigitPairJoints:
-    @pytest.mark.parametrize("prefix,c", [
-        (["3/4", "3/4"], Fraction(3)),
-        (["3/4", "1/3", "3/4"], Fraction(10)),
-        (["3/4", "3/4"], Fraction(1143, 1250)),
-        ([], Fraction(3)),
-    ])
-    def test_same_cells_values_and_order_as_fraction_sums(self, prefix, c):
-        law = scale_fiq_truncated(model_of(prefix), c, 10)
-        fast = exact_digit_pair_joints(law)
-        slow = digit_pair_joints(law)
-        assert list(fast) == list(slow)
-        for pair, joint in slow.items():
-            assert list(fast[pair].items()) == list(joint.items())
-            assert all(type(w) is Fraction for w in fast[pair].values())
+def reference_joint(law, positions):
+    """Joint weight of the fraction digits at ``positions``, one pass over the law per joint."""
+    joint = {}
+    for dd, w in law.items():
+        if dd.integer_part is None or len(dd.fraction_bits) < max(positions):
+            continue
+        key = tuple(dd.fraction_bits[p - 1] for p in positions)
+        joint[key] = joint.get(key, 0) + w
+    return joint
+
+
+JOINT_CASES = [
+    (["3/4", "3/4"], Fraction(3)),
+    (["3/4", "1/3", "3/4"], Fraction(10)),
+    (["3/4", "3/4"], Fraction(1143, 1250)),
+    ([], Fraction(3)),
+]
+
+
+def exact_and_count_laws(prefix, c):
+    """Three laws of one model at depth 10: exact, exact in reverse entry order, and sample counts."""
+    model = model_of(prefix)
+    exact = scale_fiq_truncated(model, c, 10)
+    counts = prefix_counts(sample_matrix(model, 10, 5000))
+    return exact, dict(reversed(exact.items())), digit_law(scaled_digit_table(c, 10), counts)
+
+
+class TestDigitPairJoints:
+    @pytest.mark.parametrize("prefix,c", JOINT_CASES)
+    def test_same_cells_values_and_order_as_per_pair_reference(self, prefix, c):
+        for law, weight_type in zip(exact_and_count_laws(prefix, c), (Fraction, Fraction, int)):
+            joints = digit_pair_joints(law)
+            assert list(joints) == list(itertools.combinations(DIGIT_PAIR_POSITIONS, 2))
+            for pair, joint in joints.items():
+                assert list(joint.items()) == list(reference_joint(law, pair).items())
+                assert all(type(w) is weight_type for w in joint.values())
+
+    @pytest.mark.parametrize("prefix,c", JOINT_CASES)
+    def test_four_digit_joint_is_the_full_length_keys(self, prefix, c):
+        for law in exact_and_count_laws(prefix, c):
+            full = {key: w for key, w in leading_digits(law).items() if len(key) == 4}
+            assert list(full.items()) == list(reference_joint(law, DIGIT_PAIR_POSITIONS).items())
+
+    def test_leading_digits_cuts_after_the_last_position(self):
+        law = {
+            DeterminedDigits(0, (1, 0, 1, 1, 0)): 3,
+            DeterminedDigits(None, ()): 5,
+            DeterminedDigits(2, (1, 0, 1, 1)): 4,
+            DeterminedDigits(1, (0,)): 1,
+        }
+        assert list(leading_digits(law).items()) == [((1, 0, 1, 1), 7), ((0,), 1)]
+
 
 class TestDigitsOfRational:
     def test_known_expansion(self):
@@ -249,7 +285,7 @@ class TestScaleFiqTruncated:
         from fiq.propensity import TailPolicy
 
         model = IndependentBitsModel(
-            pv=PropensityVector.of(["3/4"], TailPolicy.UNSPECIFIED),
+            pv=PropensityVector(["3/4"], TailPolicy.UNSPECIFIED),
             source=RandomBitSource(seed=0),
         )
         with pytest.raises(DepthBeyondKnowledgeError):

@@ -183,6 +183,11 @@ class TestMalformedInput:
         ({"type": "independent", "pv": {"prefix": ["3/4"], "tail": "half", "bias": "1/3"}}, "bias"),
         ({"type": "independent", "pv": {"prefix": ["3/4"], "tail": "quarter"}}, "tail"),
         ({"type": "independent", "pv": {"prefix": ["3/4"], "tail": [1]}}, "tail"),
+        ({"type": "independent", "pv": {"prefix": [0.1], "tail": "half"}}, "prefix"),
+        ({"type": "independent", "pv": {"prefix": [True], "tail": "half"}}, "prefix"),
+        ({"type": "majority", "k": 3, "bias": None}, "bias"),
+        ({"type": "majority", "k": 3, "bias": 0.5}, "bias"),
+        ({"type": "majority", "k": 3, "bias": "1/x"}, "bias"),
     ])
     def test_model_bad_value_exits_2(self, tmp_path, capsys, model, field):
         code = run_cli(["sample", "--model", json.dumps(model), "--depth", "4",
@@ -230,6 +235,10 @@ class TestMalformedInput:
         ("sigam", 0.001),
         ("name", None),
         ("name", 3),
+        ("constant", 0.5),
+        ("constant", 3),
+        ("constant", None),
+        ("constant", "3/0"),
     ])
     def test_spec_bad_value_exits_2(self, tmp_path, capsys, field, value):
         from fiq.experiments import preset_spec
@@ -278,6 +287,20 @@ class TestMalformedInput:
         code = run_cli(["experiment", kind, "--spec", str(spec_path), "--seed", "2"], tmp_path)
         assert code == 2
         assert "depth must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "verdict.json").exists()
+
+    @pytest.mark.parametrize("field,value", [("depth", 1), ("bias", "0"), ("bias", "1")])
+    def test_majority_study_degenerate_spec_exits_2(self, tmp_path, capsys, field, value):
+        from fiq.experiments import preset_spec
+
+        spec = preset_spec("majority", "k3", seed=2).to_json()
+        (spec["model"] if field == "bias" else spec)[field] = value
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        code = run_cli(["experiment", "majority", "--spec", str(spec_path), "--seed", "2"], tmp_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert repr(field) in err and len(err.splitlines()) == 1
         assert not (tmp_path / "verdict.json").exists()
 
     @pytest.mark.parametrize("threads", ["0", "-3"])

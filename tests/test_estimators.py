@@ -49,7 +49,7 @@ def matrix(rows, stationary=False):
 
 
 def fair_iid(n, d, seed=17):
-    model = IndependentBitsModel(pv=PropensityVector.of([]),
+    model = IndependentBitsModel(pv=PropensityVector([]),
                                  source=RandomBitSource(seed=seed))
     return sample_matrix(model, d, n)
 
@@ -323,7 +323,7 @@ class TestCorrelatedInfoContent:
         assert cm.multi_information == pytest.approx(0.0, abs=0.01)
 
     def test_deterministic_bits(self):
-        model = IndependentBitsModel(pv=PropensityVector.of([1, 0, 1]),
+        model = IndependentBitsModel(pv=PropensityVector([1, 0, 1]),
                                      source=RandomBitSource(seed=1))
         s = sample_matrix(model, 3, 1000)
         cm = correlated_info_content(s, 3)

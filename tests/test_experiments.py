@@ -136,7 +136,7 @@ class TestConsumedIndices:
                 assert consumed_source_indices(model, d) == set(range(1, d + k))
 
     def test_independent_consumes_one_per_bit(self):
-        model = IndependentBitsModel(pv=PropensityVector.of([]),
+        model = IndependentBitsModel(pv=PropensityVector([]),
                                      source=RandomBitSource(seed=2))
         assert consumed_source_indices(model, 7) == set(range(1, 8))
 
@@ -249,7 +249,7 @@ class TestDigitPairJoints:
     def test_excluded_mass_is_small_at_depth_12(self):
         from fiq.arithmetic import digit_pair_joints, scale_fiq_truncated
 
-        model = IndependentBitsModel(pv=PropensityVector.of(["3/4", "3/4"]),
+        model = IndependentBitsModel(pv=PropensityVector(["3/4", "3/4"]),
                                      source=RandomBitSource(seed=1))
         dist = scale_fiq_truncated(model, Fraction(3), 12)
         joints = digit_pair_joints(dist)

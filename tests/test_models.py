@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 
 import fiq.models
 from fiq.errors import DepthBeyondKnowledgeError, EnumerationBoundError
+from fiq.jsonfields import json_float, json_int, json_rational
 from fiq.models import (
     BitPrefix,
     IndependentBitsModel,
     MajorityVoteModel,
     exact_window_joint,
-    json_float,
-    json_int,
     majority,
     model_from_json,
     sample_matrix,
@@ -61,7 +60,7 @@ class TestModels:
         assert doc["type"] == "majority" and doc["bias"] == "1/3"
         assert model_from_json(doc) == m
 
-        pv = PropensityVector.of(["3/4"])
+        pv = PropensityVector(["3/4"])
         im = IndependentBitsModel(pv=pv, source=fair_source(seed=9))
         assert model_from_json(im.to_json()) == im
 
@@ -84,13 +83,23 @@ class TestModels:
             with pytest.raises(ValueError, match="sigma must be a number"):
                 json_float(bad, "sigma")
 
+    def test_json_rational_takes_only_strings(self):
+        assert json_rational("3/4", "bias") == Fraction(3, 4)
+        assert json_rational(" 3 ", "bias") == 3
+        for bad in (0.1, 1, True, None, ["3/4"]):
+            with pytest.raises(ValueError, match='bias must be a rational string such as "3/4"'):
+                json_rational(bad, "bias")
+        for bad in ("3/0", "0.5", "x"):
+            with pytest.raises(ValueError, match="^bias: "):
+                json_rational(bad, "bias")
+
     def test_fractional_k_is_not_truncated(self):
         with pytest.raises(ValueError, match="model field 'k' must be an integer, got 3.5"):
             model_from_json({"type": "majority", "k": 3.5}, seed=1)
 
 class TestSamplePrefix:
     def test_deterministic_propensities(self):
-        pv = PropensityVector.of([1, 0, 1])
+        pv = PropensityVector([1, 0, 1])
         model = IndependentBitsModel(pv=pv, source=fair_source())
         assert sample_prefix(model, 3).bits == (1, 0, 1)
 
@@ -109,7 +118,7 @@ class TestSamplePrefix:
         assert sample_prefix(model, depth).bits == expected
 
     def test_unspecified_tail_depth_limit(self):
-        pv = PropensityVector.of(["3/4", "3/4"], TailPolicy.UNSPECIFIED)
+        pv = PropensityVector(["3/4", "3/4"], TailPolicy.UNSPECIFIED)
         model = IndependentBitsModel(pv=pv, source=fair_source())
         assert sample_prefix(model, 2).depth == 2
         with pytest.raises(DepthBeyondKnowledgeError):
@@ -166,7 +175,7 @@ class TestSampleMatrix:
             assert tuple(int(b) for b in s.bits[i]) == sample_prefix(model, 8, stream_id=i).bits
 
     def test_independent_frequencies_converge(self):
-        pv = PropensityVector.of(["3/4", "1/4"])
+        pv = PropensityVector(["3/4", "1/4"])
         model = IndependentBitsModel(pv=pv, source=fair_source(seed=31))
         s = sample_matrix(model, 2, 40_000)
         n = s.n_samples
@@ -208,7 +217,7 @@ class TestSampleMatrix:
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("model", [
         MajorityVoteModel(k=3, source=fair_source(seed=8)),
-        IndependentBitsModel(pv=PropensityVector.of(["3/4", "1/3"], tail=TailPolicy.HALF),
+        IndependentBitsModel(pv=PropensityVector(["3/4", "1/3"], tail=TailPolicy.HALF),
                              source=fair_source(seed=8, stream=40)),
     ], ids=["majority", "independent"])
     def test_chunks_equal_one_call_over_all_streams(self, monkeypatch, model, threads):
@@ -248,7 +257,7 @@ class TestSampleMatrix:
 
     def test_stationary_flag(self):
         maj = MajorityVoteModel(k=3, source=fair_source())
-        ind = IndependentBitsModel(pv=PropensityVector.of([]), source=fair_source())
+        ind = IndependentBitsModel(pv=PropensityVector([]), source=fair_source())
         assert sample_matrix(maj, 4, 10).stationary
         assert not sample_matrix(ind, 4, 10).stationary
 
@@ -258,7 +267,7 @@ class TestGeneratingBitsCount:
         src = fair_source()
         assert MajorityVoteModel(k=3, source=src).generating_bits(1) == 3
         assert MajorityVoteModel(k=5, source=src).generating_bits(10) == 14
-        ind = IndependentBitsModel(pv=PropensityVector.of([]), source=src)
+        ind = IndependentBitsModel(pv=PropensityVector([]), source=src)
         assert ind.generating_bits(7) == 7
         assert MajorityVoteModel(k=7, source=src).generating_bits(0) == 0
 

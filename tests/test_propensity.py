@@ -64,30 +64,30 @@ class TestBinaryEntropy:
 
 class TestInformationContent:
     def test_all_fair_is_zero(self):
-        pv = PropensityVector.of([])
+        pv = PropensityVector([])
         assert information_content_independent(pv).bits == 0.0
 
     def test_deterministic_bits_count_one_each(self):
-        pv = PropensityVector.of([1, 1, 0])
+        pv = PropensityVector([1, 1, 0])
         info = information_content_independent(pv)
         assert info.bits == pytest.approx(3.0, abs=1e-12)
         assert not info.is_lower_bound
 
     def test_single_quarter_bit(self):
-        pv = PropensityVector.of([Fraction(1, 4)])
+        pv = PropensityVector([Fraction(1, 4)])
         expected = 1.0 - entropy_oracle(Fraction(1, 4))
         assert information_content_independent(pv).bits == pytest.approx(expected, abs=1e-12)
         assert information_content_independent(pv).bits == pytest.approx(0.1887218755, abs=1e-9)
 
     def test_unspecified_tail_is_lower_bound(self):
-        pv = PropensityVector.of([Fraction(1, 4)], TailPolicy.UNSPECIFIED)
+        pv = PropensityVector([Fraction(1, 4)], TailPolicy.UNSPECIFIED)
         assert information_content_independent(pv).is_lower_bound
 
     @given(entries=st.lists(rationals_01, max_size=8))
     @settings(max_examples=100)
     def test_appending_half_never_changes_measure(self, entries):
-        pv = PropensityVector.of(entries)
-        extended = PropensityVector.of(entries + [Fraction(1, 2)])
+        pv = PropensityVector(entries)
+        extended = PropensityVector(entries + [Fraction(1, 2)])
         a = information_content_independent(pv).bits
         b = information_content_independent(extended).bits
         assert b == pytest.approx(a, abs=1e-12)
@@ -95,8 +95,8 @@ class TestInformationContent:
     @given(entries=st.lists(rationals_01, max_size=8), bit=st.sampled_from([0, 1]))
     @settings(max_examples=100)
     def test_appending_deterministic_bit_adds_one(self, entries, bit):
-        pv = PropensityVector.of(entries)
-        extended = PropensityVector.of(entries + [Fraction(bit)])
+        pv = PropensityVector(entries)
+        extended = PropensityVector(entries + [Fraction(bit)])
         delta = (information_content_independent(extended).bits
                  - information_content_independent(pv).bits)
         assert delta == pytest.approx(1.0, abs=1e-12)
@@ -104,7 +104,7 @@ class TestInformationContent:
     @given(entries=st.lists(rationals_01, max_size=8))
     @settings(max_examples=100)
     def test_nonnegative_and_zero_iff_all_half(self, entries):
-        pv = PropensityVector.of(entries)
+        pv = PropensityVector(entries)
         bits = information_content_independent(pv).bits
         assert bits >= 0.0
         if all(q == Fraction(1, 2) for q in pv.prefix):
@@ -114,15 +114,15 @@ class TestInformationContent:
 class TestVector:
     def test_invalid_entry_rejected(self):
         with pytest.raises(ValueError):
-            PropensityVector.of(["5/4"])
+            PropensityVector(["5/4"])
 
     def test_propensity_at_tail(self):
-        pv = PropensityVector.of(["3/4"])
+        pv = PropensityVector(["3/4"])
         assert pv.propensity_at(1) == Fraction(3, 4)
         assert pv.propensity_at(7) == Fraction(1, 2)
 
     def test_json_round_trip(self):
-        pv = PropensityVector.of(["3/4", "1/3"], TailPolicy.UNSPECIFIED)
+        pv = PropensityVector(["3/4", "1/3"], TailPolicy.UNSPECIFIED)
         assert PropensityVector.from_json(pv.to_json()) == pv
         assert pv.to_json() == {"prefix": ["3/4", "1/3"], "tail": "unspecified"}
 

@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .models import SampleMatrix, window_codes
+from .models import SampleMatrix
 
 LN2 = math.log(2.0)
 
@@ -161,11 +161,13 @@ def correlation_report(s: SampleMatrix) -> CorrelationReport:
     )
 
 
-def block_entropy(s: SampleMatrix, block_length: int) -> float:
+def block_entropy(s: SampleMatrix, block_length: int, *, first_window: bool = False) -> float:
     """Plug-in entropy in bits of length-L windows plus the Miller-Madow correction.
 
     Windows are pooled across positions only for stationary processes;
-    otherwise the block starts at position 1.
+    otherwise, or with ``first_window``, the block starts at position 1.  The
+    counts are read off ``s.window_counts``, built once per sample at the
+    longest length asked for: do not write ``s.bits`` after the first call.
     """
     if block_length < 1:
         raise ValueError("block length must be >= 1")
@@ -174,8 +176,8 @@ def block_entropy(s: SampleMatrix, block_length: int) -> float:
             f"block length {block_length} exceeds sampled depth {s.depth} "
             f"or the cap {MAX_BLOCK_LENGTH}"
         )
-    bits = s.bits if s.stationary else s.bits[:, :block_length]
-    counts = sum(np.bincount(code, minlength=1 << block_length) for code in window_codes(bits, block_length))
+    first, pooled = s.window_counts(block_length)
+    counts = first if first_window else pooled
     counts = counts[counts > 0]
     n = int(counts.sum())
     probs = counts / n
@@ -195,7 +197,7 @@ def entropy_rate(s: SampleMatrix, l_max: int) -> EntropyRateEstimate:
     """
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
-    hs = [block_entropy(s, L) for L in range(1, l_max + 1)]
+    hs = [block_entropy(s, L) for L in range(l_max, 0, -1)][::-1]  # longest first: rows are read once
     return EntropyRateEstimate(rate=hs[-1] - (hs[-2] if l_max > 1 else 0.0), block_entropies=hs)
 
 
@@ -218,7 +220,7 @@ def correlated_info_content(s: SampleMatrix, d: int) -> CandidateMeasures:
         raise ValueError(f"d must be in [1, {min(s.depth, MAX_BLOCK_LENGTH)}], got {d}")
     freqs = s.pair_counts.diagonal()[:d] / s.n_samples
     per_bit = math.fsum(1.0 - _h2(float(f)) for f in freqs)
-    joint_h = block_entropy(SampleMatrix(bits=s.bits, stationary=False), d)  # first d columns
+    joint_h = block_entropy(s, d, first_window=True)
     return CandidateMeasures(per_bit_sum=per_bit, multi_information=d - joint_h)
 
 

@@ -73,6 +73,10 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if not 0 < self.sigma < math.inf:
             raise ValueError(f"experiment spec field 'sigma' must be positive and finite, got {self.sigma!r}")
+        if self.samples < 1:
+            raise ValueError(f"experiment spec field 'samples' must be >= 1, got {self.samples}")
+        if self.constant is not None and self.constant <= 0:
+            raise ValueError(f"experiment spec field 'constant' must be > 0, got {format_rational(self.constant)}")
 
     @property
     def seed(self) -> int:
@@ -181,7 +185,7 @@ def run_units_critique(spec: ExperimentSpec) -> ExperimentVerdict:
     model = spec.model
     if not isinstance(model, IndependentBitsModel):
         raise ValueError("units critique requires an independent-bit model")
-    if spec.constant is None or spec.constant <= 0:
+    if spec.constant is None:
         raise ValueError("units critique requires a positive rational constant")
     c = spec.constant
     biased = any(q != HALF for q in model.pv.prefix)
@@ -374,7 +378,7 @@ def run_units_on_majority(spec: ExperimentSpec) -> ExperimentVerdict:
     model = spec.model
     if not isinstance(model, MajorityVoteModel):
         raise ValueError("this study requires a majority-vote model")
-    if spec.constant is None or spec.constant <= 0:
+    if spec.constant is None:
         raise ValueError("a positive rational constant is required")
     c = spec.constant
     table = scaled_digit_table(c, spec.depth)  # checks the depth bound before sampling

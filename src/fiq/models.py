@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from fractions import Fraction
 from math import comb
@@ -167,12 +167,14 @@ class SampleMatrix:
 
     ``stationary`` records whether the generating process is shift-invariant
     across bit positions (true for majority-vote models), which decides
-    whether block statistics may pool across positions.  ``pair_counts`` is
-    computed once per sample: ``bits`` must not be written after it is read.
+    whether block statistics may pool across positions.  ``pair_counts`` and
+    ``window_counts`` are computed once per sample: ``bits`` must not be
+    written after they are read.
     """
 
     bits: np.ndarray  # (N, d) uint8
     stationary: bool
+    _windows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_samples(self) -> int:
@@ -191,6 +193,31 @@ class SampleMatrix:
             chunk = self.bits[start:start + rows].astype(np.float32)
             gram += (chunk.T @ chunk).astype(np.int64)
         return gram
+
+    def window_counts(self, length: int) -> tuple[np.ndarray, np.ndarray]:
+        """Counts of the 2^length window codes: (first window, every window if stationary, else first).
+
+        The rows are read once, at the longest length asked for so far, into
+        histograms of the first, pooled and last windows; a shorter length sums
+        their marginals, the last window's at each start past the last long one.
+        """
+        if length > self._windows.get("length", 0):
+            codes = window_codes(self.bits, length)
+            first = pooled = last = np.bincount(next(codes), minlength=1 << length)
+            for code in codes if self.stationary else ():
+                last = np.bincount(code, minlength=1 << length)
+                pooled = pooled + last
+            self._windows.update(length=length, first=first, pooled=pooled, last=last)
+        w = self._windows
+
+        def marginal(hist: np.ndarray, offset: int) -> np.ndarray:
+            return hist.reshape(1 << offset, 1 << length, -1).sum(axis=(0, 2))
+
+        first = marginal(w["first"], 0)
+        if not self.stationary:
+            return first, first
+        past_last = range(1, w["length"] - length + 1)  # starts after the last long window, as offsets in it
+        return first, marginal(w["pooled"], 0) + sum(marginal(w["last"], t) for t in past_last)
 
 
 def window_codes(bits: np.ndarray, length: int) -> Iterator[np.ndarray]:
@@ -326,6 +353,8 @@ def model_from_json(
     if kind == "majority":
         require_fields(data, "majority model JSON", "k")
         reject_unknown_fields(data, "majority model JSON", "type", "k", "bias", "seed", "stream")
-        source = replace(source, bias=json_rational(data.get("bias", "1/2"), "model field 'bias'"))
-        return MajorityVoteModel(k=json_int(data["k"], "model field 'k'"), source=source)
+        bias = json_rational(data.get("bias", "1/2"), "model field 'bias'")
+        if not 0 <= bias <= 1:
+            raise ValueError(f"model field 'bias' must be in [0, 1], got {format_rational(bias)}")
+        return MajorityVoteModel(k=json_int(data["k"], "model field 'k'"), source=replace(source, bias=bias))
     raise ValueError(f"unknown model type {kind!r}")

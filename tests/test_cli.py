@@ -188,6 +188,8 @@ class TestMalformedInput:
         ({"type": "majority", "k": 3, "bias": None}, "bias"),
         ({"type": "majority", "k": 3, "bias": 0.5}, "bias"),
         ({"type": "majority", "k": 3, "bias": "1/x"}, "bias"),
+        ({"type": "majority", "k": 3, "bias": "2"}, "bias"),
+        ({"type": "majority", "k": 3, "bias": "-1/2"}, "bias"),
     ])
     def test_model_bad_value_exits_2(self, tmp_path, capsys, model, field):
         code = run_cli(["sample", "--model", json.dumps(model), "--depth", "4",
@@ -239,6 +241,10 @@ class TestMalformedInput:
         ("constant", 3),
         ("constant", None),
         ("constant", "3/0"),
+        ("samples", 0),
+        ("samples", -5),
+        ("constant", "-3"),
+        ("constant", "0"),
     ])
     def test_spec_bad_value_exits_2(self, tmp_path, capsys, field, value):
         from fiq.experiments import preset_spec

@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -9,6 +10,8 @@ import pytest
 
 import fiq.models
 from fiq.estimators import (
+    LN2,
+    MAX_BLOCK_LENGTH,
     SampleMatrix,
     block_entropy,
     correlated_info_content,
@@ -29,6 +32,7 @@ from fiq.models import (
     MajorityVoteModel,
     exact_window_joint,
     sample_matrix,
+    window_codes,
 )
 from fiq.propensity import PropensityVector
 from fiq.randombits import RandomBitSource
@@ -287,6 +291,80 @@ class TestBlockEntropyFromCounts:
         windows = [tuple(row[:L]) for row in self.ROWS]
         got = block_entropy(matrix(self.ROWS, stationary=False), L)
         assert got == pytest.approx(self.miller_madow(windows), abs=1e-12)
+
+
+def bincount_windows(bits, length, pooled):
+    """Counts of the length-L window codes, one bincount per window (block_entropy before the cache)."""
+    bits = bits if pooled else bits[:, :length]
+    return sum(np.bincount(code, minlength=1 << length) for code in window_codes(bits, length))
+
+
+def bincount_entropy(counts):
+    counts = counts[counts > 0]
+    n = int(counts.sum())
+    probs = counts / n
+    return float(-(probs * np.log2(probs)).sum()) + (len(counts) - 1) / (2.0 * n * LN2)
+
+
+class TestWindowCounts:
+    """Window histograms read off the longest window, against one bincount per window."""
+
+    @pytest.mark.parametrize("order", ["increasing", "decreasing", "shuffled"])
+    @pytest.mark.parametrize("stationary", [True, False])
+    @pytest.mark.parametrize("d", [1, 5, 16, 20])
+    def test_every_length_in_any_order(self, d, stationary, order):
+        s = SampleMatrix(bits=random_bits(2000, d, seed=d), stationary=stationary)
+        lengths = list(range(1, min(d, MAX_BLOCK_LENGTH) + 1))
+        if order == "decreasing":
+            lengths.reverse()
+        elif order == "shuffled":
+            random.Random(d).shuffle(lengths)
+        for L in lengths:
+            first, pooled = s.window_counts(L)
+            expected_first = bincount_windows(s.bits, L, pooled=False)
+            expected_pooled = bincount_windows(s.bits, L, pooled=stationary)
+            assert first.dtype == pooled.dtype == np.int64
+            assert np.array_equal(first, expected_first)
+            assert np.array_equal(pooled, expected_pooled)
+            assert block_entropy(s, L) == bincount_entropy(expected_pooled)
+            assert block_entropy(s, L, first_window=True) == bincount_entropy(expected_first)
+
+    def test_shorter_length_reads_no_rows(self, monkeypatch):
+        s = sample_matrix(MajorityVoteModel(k=3, source=RandomBitSource(seed=6)), 16, 5000)
+        expected = [bincount_entropy(bincount_windows(s.bits, L, pooled=True)) for L in range(1, 11)]
+        s.window_counts(10)
+
+        def no_rows(bits, length):
+            raise AssertionError(f"rows read again for length {length}")
+
+        monkeypatch.setattr(fiq.models, "window_codes", no_rows)
+        assert [block_entropy(s, L) for L in range(10, 0, -1)] == expected[::-1]
+        assert correlated_info_content(s, 8).multi_information == 8 - bincount_entropy(
+            bincount_windows(s.bits, 8, pooled=False))
+        with pytest.raises(AssertionError, match="length 11"):
+            block_entropy(s, 11)
+
+    def test_entropy_rate_reads_rows_once(self, monkeypatch):
+        s = sample_matrix(MajorityVoteModel(k=3, source=RandomBitSource(seed=6)), 16, 5000)
+        lengths = []
+        rolled = fiq.models.window_codes
+
+        def counted(bits, length):
+            lengths.append(length)
+            return rolled(bits, length)
+
+        monkeypatch.setattr(fiq.models, "window_codes", counted)
+        entropy_rate(s, 12)
+        assert lengths == [12]
+
+    @pytest.mark.parametrize("stationary", [True, False])
+    def test_cache_holds_three_histograms_of_the_longest_length(self, stationary):
+        s = SampleMatrix(bits=random_bits(1000, 20, seed=7), stationary=stationary)
+        for L in (3, 16, 5):
+            s.window_counts(L)
+        held = {id(a): a.nbytes for a in s._windows.values() if isinstance(a, np.ndarray)}
+        assert s._windows["length"] == 16
+        assert sum(held.values()) <= 3 * 8 << 16
 
 
 class TestEntropyRate:

@@ -38,7 +38,6 @@ from .models import (
     IndependentBitsModel,
     MajorityVoteModel,
     exact_window_joint,
-    majority,
     model_from_json,
     sample_matrix,
     sample_prefix,

@@ -73,6 +73,8 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if not 0 < self.sigma < math.inf:
             raise ValueError(f"experiment spec field 'sigma' must be positive and finite, got {self.sigma!r}")
+        if self.depth < 1:
+            raise ValueError(f"experiment spec field 'depth' must be >= 1, got {self.depth}")
         if self.samples < 1:
             raise ValueError(f"experiment spec field 'samples' must be >= 1, got {self.samples}")
         if self.constant is not None and self.constant <= 0:
@@ -281,7 +283,7 @@ def run_majority_study(spec: ExperimentSpec) -> ExperimentVerdict:
     if not isinstance(model, MajorityVoteModel):
         raise ValueError("majority study requires a majority-vote model")
     k = model.k
-    bias = model.source.bias
+    bias = model.bias
     if spec.depth < 2:  # claim (ii) compares bits 1 and 2
         raise ValueError(f"experiment spec field 'depth' must be >= 2 for this study, got {spec.depth}")
     if not 0 < bias < 1:  # constant source bits leave every z-score undefined

@@ -4,9 +4,9 @@ Two constructions:
 
 * IndependentBitsModel -- bit j is 1 with propensity q_j, independently.
 * MajorityVoteModel -- bit j is the majority of a window of k fresh source
-  bits r(j) .. r(j+k-1).  Windows at distance < k overlap, so adjacent bits
-  are correlated, yet the first d bits are always determined by the finite
-  set of source bits r(1) .. r(d+k-1).
+  bits r(j) .. r(j+k-1), each 1 with the model's bias.  Windows at distance
+  < k overlap, so adjacent bits are correlated, yet the first d bits are
+  always determined by the finite set of source bits r(1) .. r(d+k-1).
 
 The window indexing starts every window at the bit's own position, so bit 1
 is well defined from time 1 onward (no warm-up padding); the sliding-window
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from math import comb
@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import EnumerationBoundError
 from .jsonfields import json_int, json_rational, reject_unknown_fields, require_fields
-from .propensity import PropensityVector, as_propensity
-from .randombits import RandomBitSource, bias_threshold, threshold_bits
+from .propensity import HALF, PropensityVector, as_propensity
+from .randombits import RandomBitSource, threshold_bits
 from .rational import format_rational
 
 ENUMERATION_BIT_BOUND = 24
@@ -62,16 +62,6 @@ class BitPrefix:
         return Fraction(num, 1 << self.depth)
 
 
-def majority(window: Sequence[int]) -> int:
-    """1 iff strictly more ones than zeros; window length must be odd."""
-    n = len(window)
-    if n == 0 or n % 2 == 0:
-        raise ValueError(f"majority window must have odd length >= 1, got {n}")
-    if any(b not in (0, 1) for b in window):
-        raise ValueError("window entries must be 0 or 1")
-    return int(sum(window) * 2 > n)
-
-
 class FiqModel(Protocol):
     """A bit-generating model: what sampling, experiments and the CLI rely on.
 
@@ -99,19 +89,21 @@ def _check_nonnegative(depth: int) -> None:
 
 @dataclass(frozen=True)
 class MajorityVoteModel:
-    """Bit j = majority of the k source bits r(j) .. r(j+k-1)."""
+    """Bit j = majority of the k source bits r(j) .. r(j+k-1), each 1 with propensity ``bias``."""
 
     k: int
     source: RandomBitSource
+    bias: Fraction = HALF
     stationary: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         if self.k < 1 or self.k % 2 == 0:
             raise ValueError(f"window length k must be an odd positive integer, got {self.k}")
+        object.__setattr__(self, "bias", as_propensity(self.bias))
 
     def sample(self, stream_ids: np.ndarray, depth: int) -> np.ndarray:
         n_source = depth + self.k - 1
-        r = self.source.bit_matrix(stream_ids, 1, n_source)
+        r = threshold_bits(self.source.uniforms(stream_ids, 1, n_source), [self.bias])
         csum = np.zeros((r.shape[0], n_source + 1), dtype=np.int64)
         np.cumsum(r, axis=1, out=csum[:, 1:])
         window_sums = csum[:, self.k:] - csum[:, :-self.k]
@@ -125,7 +117,7 @@ class MajorityVoteModel:
         return {
             "type": "majority",
             "k": self.k,
-            "bias": format_rational(self.source.bias),
+            "bias": format_rational(self.bias),
             "seed": self.source.seed,
             "stream": self.source.stream_id,
         }
@@ -140,13 +132,9 @@ class IndependentBitsModel:
     stationary: ClassVar[bool] = False
 
     def sample(self, stream_ids: np.ndarray, depth: int) -> np.ndarray:
-        # propensity_at rejects a depth past an unspecified tail before any bit is drawn
-        thresholds = [bias_threshold(self.pv.propensity_at(j + 1)) for j in range(depth)]
-        u = self.source.uniforms(stream_ids, 1, depth)
-        out = np.empty(u.shape, dtype=np.uint8)
-        for j, t in enumerate(thresholds):
-            out[:, j] = threshold_bits(u[:, j], t)
-        return out
+        # propensity_at rejects a depth past an unspecified tail before any uniform is drawn
+        propensities = [self.pv.propensity_at(j + 1) for j in range(depth)]
+        return threshold_bits(self.source.uniforms(stream_ids, 1, depth), propensities)
 
     def generating_bits(self, depth: int) -> int:
         _check_nonnegative(depth)
@@ -356,5 +344,5 @@ def model_from_json(
         bias = json_rational(data.get("bias", "1/2"), "model field 'bias'")
         if not 0 <= bias <= 1:
             raise ValueError(f"model field 'bias' must be in [0, 1], got {format_rational(bias)}")
-        return MajorityVoteModel(k=json_int(data["k"], "model field 'k'"), source=replace(source, bias=bias))
+        return MajorityVoteModel(k=json_int(data["k"], "model field 'k'"), source=source, bias=bias)
     raise ValueError(f"unknown model type {kind!r}")

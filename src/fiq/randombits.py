@@ -1,24 +1,26 @@
-"""Counter-based splittable random bit source.
+"""Counter-based splittable source of 64-bit uniforms.
 
-Bit n of stream (seed, stream_id) is a pure function of (seed, stream_id, n):
-a splitmix64-style finalizer applied to a per-stream key advanced by a Weyl
-increment.  That makes sampling reproducible by construction, independent of
-scheduling or thread count, and lets whole (stream x index) grids be generated
-in one vectorized shot.
+Uniform n of stream (seed, stream_id) is a pure function of (seed, stream_id,
+n): a splitmix64-style finalizer applied to a per-stream key advanced by a
+Weyl increment.  That makes sampling reproducible by construction, independent
+of scheduling or thread count, and lets whole (stream x index) grids be
+generated in one vectorized shot.
 
-A rational bias a/b is realized by thresholding the 64-bit uniform output at
-floor(a * 2^64 / b); the realized probability differs from a/b by less than
-2^-64.
+The source hands out uniforms only; models own their propensities and turn
+uniforms into bits with ``threshold_bits``.  A rational propensity a/b is
+realized by thresholding the 64-bit uniform at floor(a * 2^64 / b); the
+realized probability differs from a/b by less than 2^-64.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
-from .propensity import HALF, as_propensity
+from .propensity import as_propensity
 
 _GAMMA = 0x9E3779B97F4A7C15
 _STREAM_GAMMA = 0xD1B54A32D192ED03
@@ -49,25 +51,30 @@ def uniform64_grid(seed: int, stream_ids: np.ndarray, first: int, count: int) ->
     return _mix_arr(keys[:, None] + idx[None, :])
 
 
-def threshold_bits(u: np.ndarray, threshold: int) -> np.ndarray:
-    if threshold >= 1 << 64:
-        return np.ones(u.shape, dtype=np.uint8)
-    if threshold <= 0:
-        return np.zeros(u.shape, dtype=np.uint8)
-    return (u < np.uint64(threshold)).astype(np.uint8)
+def threshold_bits(u: np.ndarray, propensities: Sequence[Fraction]) -> np.ndarray:
+    """uint8 bits, 1 with propensity propensities[j] along the last axis of ``u``.
+
+    q = 0 thresholds at 0, which no uniform is below; q = 1 (2^64, past uint64)
+    also thresholds at 0, and its bits are set after the comparison.
+    """
+    thresholds = [bias_threshold(q) for q in propensities]
+    certain = [t == 1 << 64 for t in thresholds]
+    bits = (u < np.array([0 if c else t for t, c in zip(thresholds, certain)], dtype=np.uint64)).view(np.uint8)
+    if any(certain):
+        bits |= np.array(certain, dtype=np.uint8)
+    return bits
 
 
 @dataclass(frozen=True)
 class RandomBitSource:
-    """A stream of independent biased bits r(1), r(2), ...
+    """Independent uniform streams u(1), u(2), ... keyed by (seed, stream_id).
 
-    Identical (seed, bias, stream_id) reproduce the identical sequence.
-    Distinct stream_ids give statistically independent streams, suitable for
+    Identical (seed, stream_id) reproduce the identical sequence.  Distinct
+    stream_ids give statistically independent streams, suitable for
     one-stream-per-realization Monte Carlo.
     """
 
     seed: int
-    bias: Fraction = HALF
     stream_id: int = 0
 
     def __post_init__(self) -> None:
@@ -75,20 +82,7 @@ class RandomBitSource:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if not 0 <= self.stream_id < (1 << 64):
             raise ValueError(f"stream_id must be a 64-bit unsigned integer, got {self.stream_id}")
-        object.__setattr__(self, "bias", as_propensity(self.bias))
-
-    def bits(self, first: int, count: int) -> np.ndarray:
-        """Bits r(first) .. r(first+count-1) as a uint8 array."""
-        if first < 1 or count < 0:
-            raise ValueError("bit indices are 1-based and count must be >= 0")
-        u = self.uniforms(np.array([self.stream_id]), first, count)[0]
-        return threshold_bits(u, bias_threshold(self.bias))
 
     def uniforms(self, stream_ids: np.ndarray, first: int, count: int) -> np.ndarray:
         """Raw 64-bit uniforms for many streams; row i is stream stream_ids[i]."""
         return uniform64_grid(self.seed, np.asarray(stream_ids), first, count)
-
-    def bit_matrix(self, stream_ids: np.ndarray, first: int, count: int) -> np.ndarray:
-        """Bits for many streams at once; row i is stream stream_ids[i]."""
-        u = self.uniforms(stream_ids, first, count)
-        return threshold_bits(u, bias_threshold(self.bias))

@@ -233,6 +233,8 @@ class TestMalformedInput:
         ("sigma", float("nan")),
         ("depth", 12.5),
         ("depth", True),
+        ("depth", 0),
+        ("depth", -1),
         ("samples", 1000.5),
         ("sigam", 0.001),
         ("name", None),
@@ -292,7 +294,7 @@ class TestMalformedInput:
         spec_path.write_text(json.dumps(spec))
         code = run_cli(["experiment", kind, "--spec", str(spec_path), "--seed", "2"], tmp_path)
         assert code == 2
-        assert "depth must be >= 0, got -1" in capsys.readouterr().err
+        assert "experiment spec field 'depth' must be >= 1, got -1" in capsys.readouterr().err
         assert not (tmp_path / "verdict.json").exists()
 
     @pytest.mark.parametrize("field,value", [("depth", 1), ("bias", "0"), ("bias", "1")])

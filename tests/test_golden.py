@@ -27,6 +27,9 @@ BIASED = json.dumps({"type": "independent",
                      "pv": {"prefix": ["3/4", "1/3", "3/4"], "tail": "half"}})
 CONSTANT_COLUMNS = json.dumps({"type": "independent",
                                "pv": {"prefix": ["1", "3/4", "0", "1/3"], "tail": "half"}})
+EDGE_PROPENSITIES = json.dumps({"type": "independent",
+                                "pv": {"prefix": ["1", "0", "1/3", "3/4"], "tail": "half"}})
+MAJORITY_K5_THIRD = json.dumps({"type": "majority", "k": 5, "bias": "1/3"})
 
 COMMANDS = {
     "units-biased-x3": ["experiment", "units", "--preset", "biased-x3"],
@@ -46,6 +49,10 @@ COMMANDS = {
                            "--threads", "2"],
     "sample-majority-k3-chunks": ["sample", "--model", MAJORITY_K3, "--depth", "16",
                                   "--samples", "50000", "--threads", "2"],
+    "sample-independent-edges": ["sample", "--model", EDGE_PROPENSITIES, "--depth", "8",
+                                 "--samples", "20000"],
+    "sample-majority-k5-third": ["sample", "--model", MAJORITY_K5_THIRD, "--depth", "12",
+                                 "--samples", "10000", "--threads", "2"],
 }
 
 HASHED = {"samples.csv", "arith.json"}

@@ -16,18 +16,41 @@ from fiq.models import (
     IndependentBitsModel,
     MajorityVoteModel,
     exact_window_joint,
-    majority,
     model_from_json,
     sample_matrix,
     sample_prefix,
     window_codes,
 )
 from fiq.propensity import PropensityVector, TailPolicy
-from fiq.randombits import RandomBitSource
+from fiq.randombits import RandomBitSource, bias_threshold
 
 
 def fair_source(seed=11, stream=0):
     return RandomBitSource(seed=seed, stream_id=stream)
+
+
+def source_bits(source, stream_id, count, bias):
+    """Reference: source bit n is 1 iff uniform n < bias_threshold(bias), on Python ints."""
+    u = source.uniforms(np.array([stream_id], dtype=np.uint64), 1, count)[0]
+    return [int(int(x) < bias_threshold(bias)) for x in u.tolist()]
+
+
+def majority(window):
+    """Reference majority bit of an odd-length window."""
+    return int(2 * sum(window) > len(window))
+
+
+def oracle_rows(model, depth, n):
+    """Reference rows of ``sample_matrix(model, depth, n)``, one stream at a time."""
+    base = model.source.stream_id
+    if isinstance(model, IndependentBitsModel):
+        return [[int(int(x) < bias_threshold(model.pv.propensity_at(j + 1))) for j, x in enumerate(row)]
+                for row in model.source.uniforms(np.arange(base, base + n, dtype=np.uint64), 1, depth).tolist()]
+    rows = []
+    for sid in range(base, base + n):
+        r = source_bits(model.source, sid, depth + model.k - 1, model.bias)
+        rows.append([majority(r[j:j + model.k]) for j in range(depth)])
+    return rows
 
 
 class TestMajority:
@@ -42,10 +65,11 @@ class TestMajority:
         assert majority(window) == expected
 
     def test_rejects_even_or_empty(self):
-        with pytest.raises(ValueError):
-            majority(())
-        with pytest.raises(ValueError):
-            majority((1, 0))
+        for k in (0, 2):
+            with pytest.raises(ValueError, match="odd positive"):
+                MajorityVoteModel(k=k, source=fair_source())
+            with pytest.raises(ValueError, match="odd positive"):
+                exact_window_joint(k, Fraction(1, 2), [1])
 
 
 class TestModels:
@@ -55,14 +79,22 @@ class TestModels:
                 MajorityVoteModel(k=bad, source=fair_source())
 
     def test_json_round_trip(self):
-        m = MajorityVoteModel(k=5, source=RandomBitSource(seed=3, bias=Fraction(1, 3), stream_id=2))
+        m = MajorityVoteModel(k=5, source=RandomBitSource(seed=3, stream_id=2), bias=Fraction(1, 3))
         doc = m.to_json()
         assert doc["type"] == "majority" and doc["bias"] == "1/3"
         assert model_from_json(doc) == m
+        assert model_from_json({"type": "majority", "k": 3}, seed=1).bias == Fraction(1, 2)
 
         pv = PropensityVector(["3/4"])
         im = IndependentBitsModel(pv=pv, source=fair_source(seed=9))
         assert model_from_json(im.to_json()) == im
+
+    def test_majority_bias_is_a_checked_propensity(self):
+        assert MajorityVoteModel(k=3, source=fair_source(), bias="1/3").bias == Fraction(1, 3)
+        with pytest.raises(ValueError, match="outside"):
+            MajorityVoteModel(k=3, source=fair_source(), bias=Fraction(3, 2))
+        with pytest.raises(ValueError, match="model field 'bias' must be in"):
+            model_from_json({"type": "majority", "k": 3, "bias": "3/2"}, seed=1)
 
     def test_seed_override(self):
         m = MajorityVoteModel(k=3, source=fair_source(seed=3))
@@ -107,13 +139,15 @@ class TestSamplePrefix:
         src = fair_source(seed=77)
         model = MajorityVoteModel(k=1, source=src)
         got = sample_prefix(model, 12).bits
-        assert got == tuple(int(b) for b in src.bits(1, 12))
+        assert got == tuple(source_bits(src, 0, 12, Fraction(1, 2)))
+        third = MajorityVoteModel(k=1, source=src, bias=Fraction(1, 3))
+        assert sample_prefix(third, 12).bits == tuple(source_bits(src, 0, 12, Fraction(1, 3)))
 
     def test_sliding_window_matches_pure_python_oracle(self):
         src = fair_source(seed=5)
         k, depth = 3, 10
         model = MajorityVoteModel(k=k, source=src)
-        r = [int(b) for b in src.bits(1, depth + k - 1)]
+        r = source_bits(src, 0, depth + k - 1, Fraction(1, 2))
         expected = tuple(majority(r[j:j + k]) for j in range(depth))
         assert sample_prefix(model, depth).bits == expected
 
@@ -173,6 +207,20 @@ class TestSampleMatrix:
         s = sample_matrix(model, 8, 5)
         for i in range(5):
             assert tuple(int(b) for b in s.bits[i]) == sample_prefix(model, 8, stream_id=i).bits
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("model", [
+        IndependentBitsModel(pv=PropensityVector(["1", "0", "1/3", "3/4"], tail=TailPolicy.HALF),
+                             source=fair_source(seed=6, stream=9)),
+        *(MajorityVoteModel(k=k, source=fair_source(seed=6, stream=9), bias=bias)
+          for k in (1, 3, 5) for bias in (Fraction(0), Fraction(1), Fraction(1, 3))),
+    ], ids=lambda m: m.to_json()["type"] + (f"-k{m.k}-bias{m.bias}" if hasattr(m, "k") else ""))
+    def test_matches_pure_python_oracle(self, monkeypatch, model, threads):
+        depth, n = 7, 23
+        # four rows per chunk, so 23 rows end in a partial chunk
+        monkeypatch.setattr(fiq.models, "SAMPLE_CHUNK_BITS", 4 * model.generating_bits(depth) + 1)
+        got = sample_matrix(model, depth, n, threads=threads).bits
+        assert got.tolist() == oracle_rows(model, depth, n)
 
     def test_independent_frequencies_converge(self):
         pv = PropensityVector(["3/4", "1/4"])

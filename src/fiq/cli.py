@@ -32,11 +32,11 @@ EXIT_CLAIM_FAILED = 1
 EXIT_USAGE = 2
 
 
-def _write_atomic(path: Path, data: str) -> None:
+def _write_atomic(path: Path, data: bytes) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:
@@ -46,7 +46,8 @@ def _write_atomic(path: Path, data: str) -> None:
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    _write_atomic(path, json.dumps(doc, indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n")
+    text = json.dumps(doc, indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n"
+    _write_atomic(path, text.encode())
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -54,7 +55,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    _write_atomic(path, buf.getvalue())
+    _write_atomic(path, buf.getvalue().encode())
 
 
 def _outdir(args) -> Path:
@@ -91,7 +92,12 @@ def cmd_sample(args) -> int:
     model = model_from_json(_load_model_doc(args.model), seed=args.seed, stream=args.stream)
     s = sample_matrix(model, args.depth, args.samples, threads=args.threads)
     out = _outdir(args) / "samples.csv"
-    _write_csv(out, [f"bit_{j + 1}" for j in range(s.depth)], s.bits.tolist())
+    # The CSV body as bytes: digit, comma, ..., digit, newline on each row.
+    body = np.full((s.n_samples, 2 * s.depth), ord(","), dtype=np.uint8)
+    np.add(s.bits, ord("0"), out=body[:, 0::2])
+    body[:, -1] = ord("\n")
+    header = ",".join(f"bit_{j + 1}" for j in range(s.depth)) + "\n"
+    _write_atomic(out, b"".join((header.encode(), body)))  # one copy of the body's buffer
     print(out)
     return EXIT_OK
 

@@ -15,11 +15,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .models import SampleMatrix
+from .models import MAX_BLOCK_LENGTH, SampleMatrix
 
 LN2 = math.log(2.0)
-
-MAX_BLOCK_LENGTH = 16
 
 
 def _h2(p: float) -> float:
@@ -166,8 +164,8 @@ def block_entropy(s: SampleMatrix, block_length: int, *, first_window: bool = Fa
 
     Windows are pooled across positions only for stationary processes;
     otherwise, or with ``first_window``, the block starts at position 1.  The
-    counts are read off ``s.window_counts``, built once per sample at the
-    longest length asked for: do not write ``s.bits`` after the first call.
+    counts are read off ``s.window_counts``, built once per sample: do not
+    write ``s.bits`` after the first call.
     """
     if block_length < 1:
         raise ValueError("block length must be >= 1")

@@ -32,6 +32,7 @@ from .randombits import RandomBitSource, threshold_bits
 from .rational import format_rational
 
 ENUMERATION_BIT_BOUND = 24
+MAX_BLOCK_LENGTH = 16  # longest block whose window counts are read
 SAMPLE_CHUNK_BITS = 1 << 16  # source bits per sample_matrix chunk; 2^17 and up measured slower
 
 
@@ -104,10 +105,11 @@ class MajorityVoteModel:
     def sample(self, stream_ids: np.ndarray, depth: int) -> np.ndarray:
         n_source = depth + self.k - 1
         r = threshold_bits(self.source.uniforms(stream_ids, 1, n_source), [self.bias])
-        csum = np.zeros((r.shape[0], n_source + 1), dtype=np.int64)
-        np.cumsum(r, axis=1, out=csum[:, 1:])
+        # Each window sum is at most k, so differences of cumsums in k's dtype are exact mod 2^bits.
+        csum = np.zeros((r.shape[0], n_source + 1), dtype=np.min_scalar_type(self.k))
+        np.cumsum(r, axis=1, dtype=csum.dtype, out=csum[:, 1:])
         window_sums = csum[:, self.k:] - csum[:, :-self.k]
-        return (window_sums * 2 > self.k).astype(np.uint8)
+        return (window_sums > self.k // 2).astype(np.uint8)
 
     def generating_bits(self, depth: int) -> int:
         _check_nonnegative(depth)
@@ -185,27 +187,34 @@ class SampleMatrix:
     def window_counts(self, length: int) -> tuple[np.ndarray, np.ndarray]:
         """Counts of the 2^length window codes: (first window, every window if stationary, else first).
 
-        The rows are read once, at the longest length asked for so far, into
-        histograms of the first, pooled and last windows; a shorter length sums
-        their marginals, the last window's at each start past the last long one.
+        The rows are read once, into histograms of the first, pooled and last
+        windows at the longest length up to min(d, MAX_BLOCK_LENGTH) whose 2^L
+        bins are at most N/2, or at ``length`` if that is longer; a shorter
+        length sums their marginals, the last window's at each start past the
+        last long one.
         """
         if length > self._windows.get("length", 0):
-            codes = window_codes(self.bits, length)
-            first = pooled = last = np.bincount(next(codes), minlength=1 << length)
+            # unless a longer length is asked for, the cache stays within twice the rows' int64 code vector
+            read = max(length, min(self.depth, MAX_BLOCK_LENGTH, self.n_samples.bit_length() - 2))
+            codes = window_codes(self.bits, read)
+            first = pooled = last = np.bincount(next(codes), minlength=1 << read)
             for code in codes if self.stationary else ():
-                last = np.bincount(code, minlength=1 << length)
+                last = np.bincount(code, minlength=1 << read)
                 pooled = pooled + last
-            self._windows.update(length=length, first=first, pooled=pooled, last=last)
+            self._windows.update(length=read, first=first, pooled=pooled, last=last)
         w = self._windows
 
-        def marginal(hist: np.ndarray, offset: int) -> np.ndarray:
-            return hist.reshape(1 << offset, 1 << length, -1).sum(axis=(0, 2))
+        def leading(hist: np.ndarray) -> np.ndarray:
+            return hist.reshape(1 << length, -1).sum(axis=1)
 
-        first = marginal(w["first"], 0)
+        first = leading(w["first"])
         if not self.stationary:
             return first, first
-        past_last = range(1, w["length"] - length + 1)  # starts after the last long window, as offsets in it
-        return first, marginal(w["pooled"], 0) + sum(marginal(w["last"], t) for t in past_last)
+        pooled, tail = leading(w["pooled"]), w["last"]
+        for _ in range(w["length"] - length):  # each start past the last long window: drop a leading bit
+            tail = tail.reshape(2, -1).sum(axis=0)
+            pooled = pooled + leading(tail)
+        return first, pooled
 
 
 def window_codes(bits: np.ndarray, length: int) -> Iterator[np.ndarray]:

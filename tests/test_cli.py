@@ -1,4 +1,8 @@
+import csv
+import io
 import json
+import os
+import random
 import subprocess
 import sys
 
@@ -6,9 +10,12 @@ import pytest
 
 import fiq.cli
 from fiq.cli import main
+from fiq.models import model_from_json, sample_matrix
 
 MAJORITY_MODEL = {"type": "majority", "k": 3, "bias": "1/2"}
 BIASED_MODEL = {"type": "independent", "pv": {"prefix": ["3/4", "3/4"], "tail": "half"}}
+# certain, impossible and biased bits, then fair ones
+MIXED_MODEL = {"type": "independent", "pv": {"prefix": ["1", "0", "3/4", "1/5"], "tail": "half"}}
 
 
 def run_cli(args, tmp_path):
@@ -35,6 +42,54 @@ class TestSample:
         with pytest.raises(SystemExit):
             run_cli(["sample", "--model", model_file, "--depth", "4",
                      "--samples", "5"], tmp_path)
+
+
+def csv_writer_bytes(bits):
+    """Reference for samples.csv: csv.writer over Python ints, as ``fiq sample`` wrote it before."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([f"bit_{j + 1}" for j in range(bits.shape[1])])
+    writer.writerows(bits.tolist())
+    return buf.getvalue().encode()
+
+
+_shapes = random.Random(14)
+
+
+class TestSampleBytes:
+    @pytest.mark.parametrize("depth,samples", [
+        (1, 1), (1, 9), (4, 1), (63, 5),
+        *((_shapes.randint(1, 40), _shapes.randint(1, 300)) for _ in range(4)),
+    ])
+    def test_same_bytes_as_csv_writer(self, tmp_path, depth, samples):
+        code = run_cli(["sample", "--model", json.dumps(MIXED_MODEL), "--depth", str(depth),
+                        "--samples", str(samples), "--seed", "3"], tmp_path)
+        assert code == 0
+        bits = sample_matrix(model_from_json(MIXED_MODEL, seed=3), depth, samples).bits
+        assert (tmp_path / "samples.csv").read_bytes() == csv_writer_bytes(bits)
+
+    @pytest.mark.parametrize("step", ["write", "replace"])
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch, capsys, step):
+        def disk_full(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        if step == "replace":
+            monkeypatch.setattr(fiq.cli.os, "replace", disk_full)
+        else:
+            real_fdopen = os.fdopen
+
+            def fdopen_full(fd, mode):
+                fh = real_fdopen(fd, mode)
+                fh.write = disk_full
+                return fh
+
+            monkeypatch.setattr(fiq.cli.os, "fdopen", fdopen_full)
+        out = tmp_path / "out"
+        code = run_cli(["sample", "--model", json.dumps(MIXED_MODEL), "--depth", "8",
+                        "--samples", "50", "--seed", "3"], out)
+        assert code == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
 
 class TestMeasure:

@@ -341,8 +341,8 @@ class TestWindowCounts:
         assert [block_entropy(s, L) for L in range(10, 0, -1)] == expected[::-1]
         assert correlated_info_content(s, 8).multi_information == 8 - bincount_entropy(
             bincount_windows(s.bits, 8, pooled=False))
-        with pytest.raises(AssertionError, match="length 11"):
-            block_entropy(s, 11)
+        with pytest.raises(AssertionError, match="length 12"):  # past the first build, at 11 for N = 5000
+            block_entropy(s, 12)
 
     def test_entropy_rate_reads_rows_once(self, monkeypatch):
         s = sample_matrix(MajorityVoteModel(k=3, source=RandomBitSource(seed=6)), 16, 5000)
@@ -356,6 +356,29 @@ class TestWindowCounts:
         monkeypatch.setattr(fiq.models, "window_codes", counted)
         entropy_rate(s, 12)
         assert lengths == [12]
+
+    @pytest.mark.parametrize("stationary", [True, False])
+    @pytest.mark.parametrize("n,read", [(20_000, 13), (140_000, 16)])  # 2^read <= n / 2, at most the cap
+    def test_increasing_lengths_read_rows_once(self, monkeypatch, n, read, stationary):
+        bits = sample_matrix(MajorityVoteModel(k=3, source=RandomBitSource(seed=6)), 16, n).bits
+        longest_first = SampleMatrix(bits=bits, stationary=stationary)
+        expected = [longest_first.window_counts(L) for L in range(12, 0, -1)][::-1]
+        expected_h = [block_entropy(longest_first, L) for L in range(12, 0, -1)][::-1]
+        s = SampleMatrix(bits=bits, stationary=stationary)
+        lengths = []
+        rolled = fiq.models.window_codes
+
+        def counted(bits, length):
+            lengths.append(length)
+            return rolled(bits, length)
+
+        monkeypatch.setattr(fiq.models, "window_codes", counted)
+        assert [block_entropy(s, L) for L in range(1, 13)] == expected_h
+        assert lengths == [read]
+        for L, (first, pooled) in enumerate(expected, start=1):
+            assert np.array_equal(s.window_counts(L)[0], first)
+            assert np.array_equal(s.window_counts(L)[1], pooled)
+        assert lengths == [read]
 
     @pytest.mark.parametrize("stationary", [True, False])
     def test_cache_holds_three_histograms_of_the_longest_length(self, stationary):

@@ -222,6 +222,13 @@ class TestSampleMatrix:
         got = sample_matrix(model, depth, n, threads=threads).bits
         assert got.tolist() == oracle_rows(model, depth, n)
 
+    @pytest.mark.parametrize("bias", [Fraction(0), Fraction(1, 2), Fraction(1)])
+    @pytest.mark.parametrize("k", [255, 257])  # the largest k summed in uint8, and the first in uint16
+    def test_window_sums_at_dtype_edges_match_oracle(self, k, bias):
+        # depth 300: each row's running sum passes 256 (wrapping in uint8) at every bias but 0
+        model = MajorityVoteModel(k=k, source=fair_source(seed=12), bias=bias)
+        assert sample_matrix(model, 300, 6).bits.tolist() == oracle_rows(model, 300, 6)
+
     def test_independent_frequencies_converge(self):
         pv = PropensityVector(["3/4", "1/4"])
         model = IndependentBitsModel(pv=pv, source=fair_source(seed=31))

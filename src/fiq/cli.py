@@ -103,6 +103,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_measure(args) -> int:
+    if args.blocks < 1:
+        raise FiqError(f"--blocks must be >= 1, got {args.blocks}")
     model = model_from_json(_load_model_doc(args.model), seed=args.seed, stream=args.stream)
     s = sample_matrix(model, args.depth, args.samples, threads=args.threads)
     info = info_report(s, l_max=args.blocks)

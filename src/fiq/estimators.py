@@ -16,14 +16,15 @@ from typing import Mapping
 import numpy as np
 
 from .models import MAX_BLOCK_LENGTH, SampleMatrix
+from .propensity import binary_entropy
 
 LN2 = math.log(2.0)
 
 
-def _h2(p: float) -> float:
-    if p <= 0.0 or p >= 1.0:
-        return 0.0
-    return -(p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p))
+def _plugin_entropy(probs: np.ndarray) -> float:
+    """-sum p log2 p in bits over the nonzero entries of ``probs``, summed in array order."""
+    probs = probs[probs > 0]
+    return float(-(probs * np.log2(probs)).sum())
 
 
 def mi_noise_floor(n_samples: int) -> float:
@@ -37,16 +38,14 @@ def mi_noise_floor(n_samples: int) -> float:
 
 
 def entropy_from_dist(dist: Mapping) -> float:
-    """Shannon entropy in bits of an explicit distribution (any weight type)."""
+    """Shannon entropy in bits of an explicit distribution (any weight type), summed in key order.
+
+    A law keyed by window code thus gives the plug-in part of ``block_entropy`` bit for bit.
+    """
     total = sum(dist.values())
     if total == 0:
         raise ValueError("distribution has zero total mass")
-    h = 0.0
-    for w in dist.values():
-        p = float(w) / float(total)
-        if p > 0.0:
-            h -= p * math.log2(p)
-    return h
+    return _plugin_entropy(np.array([float(dist[key]) / float(total) for key in sorted(dist)]))
 
 
 def mi_from_joint(joint: Mapping[tuple, object]) -> float:
@@ -86,17 +85,11 @@ def joint_is_independent(joint: Mapping[tuple, object]) -> bool:
 def correlated_info_from_dist(dist: Mapping[tuple, object]) -> "CandidateMeasures":
     """Both candidate information measures on an explicit d-bit joint law."""
     total = float(sum(dist.values()))
-    outcomes = list(dist.keys())
-    d = len(outcomes[0])
-    marginals = [0.0] * d
-    for outcome, w in dist.items():
-        w = float(w) / total
-        for j, b in enumerate(outcome):
-            if b:
-                marginals[j] += w
-    per_bit = math.fsum(1.0 - _h2(f) for f in marginals)
-    multi = d - entropy_from_dist(dist)
-    return CandidateMeasures(per_bit_sum=per_bit, multi_information=multi)
+    d = len(next(iter(dist)))
+    # each marginal is an exact weight sum rounded once, so it never exceeds 1
+    marginals = [float(sum(w for outcome, w in dist.items() if outcome[j])) / total for j in range(d)]
+    per_bit = math.fsum(1.0 - binary_entropy(f) for f in marginals)
+    return CandidateMeasures(per_bit_sum=per_bit, multi_information=d - entropy_from_dist(dist))
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +129,7 @@ def mi_matrix(s: SampleMatrix) -> np.ndarray:
     out = np.zeros((d, d))
     freqs = s.pair_counts.diagonal() / s.n_samples
     for i in range(d):
-        out[i, i] = _h2(float(freqs[i]))
+        out[i, i] = binary_entropy(float(freqs[i]))
         for j in range(i + 1, d):
             out[i, j] = out[j, i] = pairwise_mi(s, i, j)
     return out
@@ -176,10 +169,8 @@ def block_entropy(s: SampleMatrix, block_length: int, *, first_window: bool = Fa
         )
     first, pooled = s.window_counts(block_length)
     counts = first if first_window else pooled
-    counts = counts[counts > 0]
     n = int(counts.sum())
-    probs = counts / n
-    return float(-(probs * np.log2(probs)).sum()) + (len(counts) - 1) / (2.0 * n * LN2)
+    return _plugin_entropy(counts / n) + (np.count_nonzero(counts) - 1) / (2.0 * n * LN2)
 
 
 @dataclass(frozen=True)
@@ -217,7 +208,7 @@ def correlated_info_content(s: SampleMatrix, d: int) -> CandidateMeasures:
     if d < 1 or d > min(s.depth, MAX_BLOCK_LENGTH):
         raise ValueError(f"d must be in [1, {min(s.depth, MAX_BLOCK_LENGTH)}], got {d}")
     freqs = s.pair_counts.diagonal()[:d] / s.n_samples
-    per_bit = math.fsum(1.0 - _h2(float(f)) for f in freqs)
+    per_bit = math.fsum(1.0 - binary_entropy(float(f)) for f in freqs)
     joint_h = block_entropy(s, d, first_window=True)
     return CandidateMeasures(per_bit_sum=per_bit, multi_information=d - joint_h)
 
@@ -233,7 +224,7 @@ class InfoReport:
 
 def info_report(s: SampleMatrix, l_max: int = 8) -> InfoReport:
     """Independent-bit measure on empirical marginals plus block diagnostics."""
-    terms = [1.0 - _h2(float(f)) for f in s.pair_counts.diagonal() / s.n_samples]
+    terms = [1.0 - binary_entropy(float(f)) for f in s.pair_counts.diagonal() / s.n_samples]
     rate = entropy_rate(s, min(l_max, s.depth, MAX_BLOCK_LENGTH))
     return InfoReport(
         measure_name="entropy-complement-sum",

@@ -105,9 +105,10 @@ class ExperimentSpec:
                               "name", "model", "depth", "samples", "seed", "sigma", "constant")
         if not isinstance(data["name"], str):
             raise ValueError(f"experiment spec field 'name' must be a string, got {data['name']!r}")
+        doc_seed = json_int(data["seed"], "experiment spec field 'seed'") if "seed" in data else None
         return cls(
             name=data["name"],
-            model=model_from_json(data["model"], seed=seed if seed is not None else data.get("seed")),
+            model=model_from_json(data["model"], seed=seed if seed is not None else doc_seed),
             depth=json_int(data["depth"], "experiment spec field 'depth'"),
             samples=json_int(data["samples"], "experiment spec field 'samples'"),
             constant=json_rational(data["constant"], "experiment spec field 'constant'")

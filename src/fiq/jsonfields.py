@@ -27,10 +27,10 @@ def reject_unknown_fields(data: Mapping, what: str, *allowed: str) -> None:
 def json_int(value, what: str) -> int:
     """``value`` as an int; a ValueError names ``what`` when it is not one.
 
-    A boolean or a float with a fractional part is not an integer: it is
-    rejected, not truncated.
+    A boolean, a numeral string or a float with a fractional part is not an
+    integer: it is rejected, not converted.
     """
-    if isinstance(value, bool) or isinstance(value, float) and not value.is_integer():
+    if isinstance(value, (bool, str)) or isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{what} must be an integer, got {value!r}")
     try:
         return int(value)
@@ -39,8 +39,8 @@ def json_int(value, what: str) -> int:
 
 
 def json_float(value, what: str) -> float:
-    """``value`` as a float; a ValueError names ``what`` when it is not a number."""
-    if isinstance(value, bool):
+    """``value`` as a float; a ValueError names ``what`` when it is not a number (a boolean or a string)."""
+    if isinstance(value, (bool, str)):
         raise ValueError(f"{what} must be a number, got {value!r}")
     try:
         return float(value)

@@ -334,15 +334,14 @@ def model_from_json(
     seed: int | None = None,
     stream: int | None = None,
 ) -> FiqModel:
-    """Build a model from its JSON form; ``seed``/``stream`` override the document."""
+    """Build a model from its JSON form; ``seed``/``stream`` override the document's, checked all the same."""
     require_fields(data, "model JSON")
     kind = data.get("type")
-    use_seed = seed if seed is not None else data.get("seed")
-    if use_seed is None:
+    doc = {key: json_int(data[key], f"model field {key!r}") for key in ("seed", "stream") if key in data}
+    seed = seed if seed is not None else doc.get("seed")
+    if seed is None:
         raise ValueError("model JSON carries no seed and none was supplied")
-    use_stream = stream if stream is not None else data.get("stream", 0)
-    source = RandomBitSource(seed=json_int(use_seed, "model field 'seed'"),
-                             stream_id=json_int(use_stream, "model field 'stream'"))
+    source = RandomBitSource(seed=seed, stream_id=stream if stream is not None else doc.get("stream", 0))
     if kind == "independent":
         require_fields(data, "independent model JSON", "pv")
         reject_unknown_fields(data, "independent model JSON", "type", "pv", "seed", "stream")

@@ -245,6 +245,8 @@ class TestMalformedInput:
         ({"type": "majority", "k": 3, "bias": "1/x"}, "bias"),
         ({"type": "majority", "k": 3, "bias": "2"}, "bias"),
         ({"type": "majority", "k": 3, "bias": "-1/2"}, "bias"),
+        ({"type": "majority", "k": "3"}, "k"),
+        ({"type": "majority", "k": "3", "stream": "2"}, "stream"),
     ])
     def test_model_bad_value_exits_2(self, tmp_path, capsys, model, field):
         code = run_cli(["sample", "--model", json.dumps(model), "--depth", "4",
@@ -302,6 +304,9 @@ class TestMalformedInput:
         ("samples", -5),
         ("constant", "-3"),
         ("constant", "0"),
+        ("depth", "16"),
+        ("samples", "1000"),
+        ("sigma", "3"),
     ])
     def test_spec_bad_value_exits_2(self, tmp_path, capsys, field, value):
         from fiq.experiments import preset_spec
@@ -373,6 +378,18 @@ class TestMalformedInput:
         assert code == 2
         assert f"threads must be >= 1, got {threads}" in capsys.readouterr().err
         assert not (tmp_path / "samples.csv").exists()
+
+    @pytest.mark.parametrize("blocks", ["0", "-3"])
+    def test_blocks_below_one_exits_2_before_sampling(self, tmp_path, capsys, monkeypatch, blocks):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before --blocks was checked")
+
+        monkeypatch.setattr(fiq.cli, "sample_matrix", no_sampling)
+        code = run_cli(["measure", "--model", json.dumps(MAJORITY_MODEL), "--depth", "4",
+                        "--samples", "500", "--seed", "1", "--blocks", blocks], tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err == f"fiq: error: --blocks must be >= 1, got {blocks}\n"
+        assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("message", ["Unable to allocate 3.64 TiB for an array", ""])
     def test_memory_error_exits_2(self, tmp_path, capsys, monkeypatch, message):

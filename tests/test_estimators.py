@@ -34,7 +34,7 @@ from fiq.models import (
     sample_matrix,
     window_codes,
 )
-from fiq.propensity import PropensityVector
+from fiq.propensity import PropensityVector, binary_entropy
 from fiq.randombits import RandomBitSource
 
 mpmath.mp.dps = 50
@@ -100,6 +100,13 @@ class TestDistributionLayer:
         assert cm.per_bit_sum == pytest.approx(0.0, abs=1e-12)
         assert cm.multi_information == pytest.approx(2 - ADJACENT_H2, abs=1e-12)
         assert cm.multi_information == pytest.approx(0.1887, abs=1e-4)
+
+    def test_marginal_of_an_always_set_bit_is_exactly_one(self):
+        # a running float sum of these weights over 95 reaches 1.0000000000000002 for bit 1
+        law = {(1, 0, 0): 24, (1, 0, 1): 26, (1, 1, 0): 36, (1, 1, 1): 9}
+        cm = correlated_info_from_dist(law)
+        rest = [1.0 - binary_entropy(45 / 95), 1.0 - binary_entropy(35 / 95)]
+        assert cm.per_bit_sum == math.fsum([1.0, *rest])
 
     def test_candidates_agree_on_independent_joints(self):
         # product law with unequal marginals
@@ -291,6 +298,14 @@ class TestBlockEntropyFromCounts:
         windows = [tuple(row[:L]) for row in self.ROWS]
         got = block_entropy(matrix(self.ROWS, stationary=False), L)
         assert got == pytest.approx(self.miller_madow(windows), abs=1e-12)
+
+
+@pytest.mark.parametrize("L", range(1, 9))
+def test_entropy_from_dist_is_the_plugin_part_of_block_entropy(L):
+    s = sample_matrix(MajorityVoteModel(k=3, source=RandomBitSource(seed=5)), 8, 20_000)
+    counts = Counter(next(window_codes(s.bits, L)).tolist())
+    miller_madow = (len(counts) - 1) / (2.0 * s.n_samples * LN2)
+    assert entropy_from_dist(counts) + miller_madow == block_entropy(s, L, first_window=True)
 
 
 def bincount_windows(bits, length, pooled):

@@ -105,13 +105,13 @@ class TestModels:
     def test_json_int_rejects_fractions_and_booleans(self):
         assert json_int(3, "k") == 3
         assert json_int(3.0, "k") == 3
-        for bad in (3.5, -0.25, True, False, None, "3.5", float("inf"), float("nan")):
+        for bad in (3.5, -0.25, True, False, None, "3.5", "3", " 3 ", float("inf"), float("nan")):
             with pytest.raises(ValueError, match="'k' must be an integer"):
                 json_int(bad, "'k'")
 
     def test_json_float_rejects_non_numbers(self):
         assert json_float(2, "sigma") == 2.0
-        for bad in (None, True, "wide", [3]):
+        for bad in (None, True, "wide", "3", [3]):
             with pytest.raises(ValueError, match="sigma must be a number"):
                 json_float(bad, "sigma")
 

@@ -29,6 +29,20 @@ def entropy_oracle(q: Fraction) -> float:
 rationals_01 = st.fractions(min_value=0, max_value=1, max_denominator=10_000)
 
 
+def float_h2(p: float) -> float:
+    """H(p) evaluated in floats, complement 1.0 - p: the oracle for float arguments."""
+    if p <= 0.0 or p >= 1.0:
+        return 0.0
+    return -(p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p))
+
+
+@st.composite
+def count_ratios(draw):
+    """c / N as a float, the form of an empirical frequency."""
+    n = draw(st.integers(min_value=1, max_value=10**12))
+    return draw(st.integers(min_value=0, max_value=n)) / n
+
+
 class TestBinaryEntropy:
     def test_half_is_exactly_one(self):
         assert binary_entropy(Fraction(1, 2)) == 1.0
@@ -47,6 +61,12 @@ class TestBinaryEntropy:
             binary_entropy(Fraction(3, 2))
         with pytest.raises(ValueError):
             binary_entropy(Fraction(-1, 10))
+
+    @given(p=count_ratios() | st.floats(min_value=0.0, max_value=1.0))
+    @settings(max_examples=2000)
+    def test_float_argument_gives_the_float_formula_bit_for_bit(self, p):
+        # 1.0 - p and float(1 - Fraction(p)) are both the correctly rounded complement
+        assert binary_entropy(p) == float_h2(p)
 
     @given(q=rationals_01)
     @settings(max_examples=200)

@@ -58,3 +58,47 @@ def test_verdict_matches_schema(tmp_path, kind, name):
     code = main(["experiment", kind, "--preset", name, "--seed", "2", "--out", str(tmp_path)])
     assert code in (0, 1)  # a verdict is written whether or not its claims pass
     validate(json.loads((tmp_path / "verdict.json").read_text()), "verdict.schema.json")
+
+
+# A valid document per input schema branch, holding every integer or number field.
+INPUT_DOCUMENTS = {
+    "model.schema.json": [
+        {"type": "independent", "pv": {"prefix": ["3/4"], "tail": "half"}, "seed": 1, "stream": 0},
+        {"type": "majority", "k": 3, "seed": 1, "stream": 0},
+    ],
+    "experiment_spec.schema.json": [preset_spec("units", "uniform-x3-control", seed=2).to_json()],
+}
+
+
+def numeric_fields():
+    """(schema, branch, field) for every integer or number property of the input schemas."""
+    return [
+        (name, i, key)
+        for name in INPUT_DOCUMENTS
+        for i, branch in enumerate(SCHEMAS[name].get("oneOf", [SCHEMAS[name]]))
+        for key, prop in branch["properties"].items()
+        if prop.get("type") in ("integer", "number")
+    ]
+
+
+def run_with_document(name, doc, tmp_path):
+    if name == "model.schema.json":
+        return main(["sample", "--model", json.dumps(doc), "--depth", "4", "--samples", "5",
+                     "--seed", "1", "--out", str(tmp_path)])
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(doc))
+    return main(["experiment", "units", "--spec", str(spec_path), "--seed", "2", "--out", str(tmp_path)])
+
+
+@pytest.mark.parametrize("name,branch,field", numeric_fields())
+def test_numeral_string_is_rejected_by_schema_and_fiq(tmp_path, capsys, name, branch, field):
+    doc = INPUT_DOCUMENTS[name][branch]
+    validate(doc, name)
+    assert field in doc, f"the {name} document lacks {field!r}"
+    bad = {**doc, field: str(doc[field])}
+    with pytest.raises(jsonschema.ValidationError):
+        validate(bad, name)
+    assert run_with_document(name, bad, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert repr(field) in err and len(err.splitlines()) == 1
+    assert {path.name for path in tmp_path.iterdir()} <= {"spec.json"}  # nothing written

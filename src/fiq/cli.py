@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FiqError
-from .estimators import correlation_report, info_report
+from .estimators import MIN_MI_SAMPLES, correlation_report, info_report
 from .experiments import RUNNERS, ExperimentSpec, preset_spec
 from .arithmetic import digit_law, prefix_counts, scale_fiq_truncated, scaled_digit_table
 from .models import model_from_json, sample_matrix
@@ -88,7 +88,15 @@ def _add_model_flags(p: argparse.ArgumentParser, need_seed: bool = True) -> None
     p.add_argument("--out", default=None, help="output directory")
 
 
+def _check_sample_shape(args) -> None:
+    """Reject a --depth or --samples that sample_matrix would reject, naming the flag, before any work."""
+    for flag, value in (("--depth", args.depth), ("--samples", args.samples)):
+        if value < 1:
+            raise FiqError(f"{flag} must be >= 1, got {value}")
+
+
 def cmd_sample(args) -> int:
+    _check_sample_shape(args)
     model = model_from_json(_load_model_doc(args.model), seed=args.seed, stream=args.stream)
     s = sample_matrix(model, args.depth, args.samples, threads=args.threads)
     out = _outdir(args) / "samples.csv"
@@ -105,6 +113,10 @@ def cmd_sample(args) -> int:
 def cmd_measure(args) -> int:
     if args.blocks < 1:
         raise FiqError(f"--blocks must be >= 1, got {args.blocks}")
+    _check_sample_shape(args)
+    if args.depth > 1 and args.samples < MIN_MI_SAMPLES:  # correlation_report estimates every pair's MI
+        raise FiqError(f"--samples must be >= {MIN_MI_SAMPLES} for pairwise MI when --depth > 1, "
+                       f"got {args.samples}")
     model = model_from_json(_load_model_doc(args.model), seed=args.seed, stream=args.stream)
     s = sample_matrix(model, args.depth, args.samples, threads=args.threads)
     info = info_report(s, l_max=args.blocks)
@@ -144,6 +156,7 @@ def cmd_arith(args) -> int:
         if args.seed is None:
             raise FiqError("--seed is required in sample mode")
         table = scaled_digit_table(args.constant, args.depth)  # checks the depth bound before sampling
+        _check_sample_shape(args)
         s = sample_matrix(model, args.depth, args.samples, threads=args.threads)
         law = digit_law(table, prefix_counts(s))
 

@@ -19,6 +19,7 @@ from .models import MAX_BLOCK_LENGTH, SampleMatrix
 from .propensity import binary_entropy
 
 LN2 = math.log(2.0)
+MIN_MI_SAMPLES = 100  # fewest rows pairwise_mi estimates from
 
 
 def _plugin_entropy(probs: np.ndarray) -> float:
@@ -115,8 +116,8 @@ def pairwise_mi(s: SampleMatrix, i: int, j: int) -> float:
     if i == j:
         raise ValueError("pairwise MI needs two distinct columns")
     n = s.n_samples
-    if n < 100:
-        raise ValueError(f"need at least 100 samples for MI estimation, got {n}")
+    if n < MIN_MI_SAMPLES:
+        raise ValueError(f"need at least {MIN_MI_SAMPLES} samples for MI estimation, got {n}")
     joint = pairwise_joint_counts(s, i, j)
     if joint[1, 0] + joint[1, 1] in (0, n) or joint[0, 1] + joint[1, 1] in (0, n):
         return 0.0

@@ -34,6 +34,7 @@ from .rational import format_rational
 ENUMERATION_BIT_BOUND = 24
 MAX_BLOCK_LENGTH = 16  # longest block whose window counts are read
 SAMPLE_CHUNK_BITS = 1 << 16  # source bits per sample_matrix chunk; 2^17 and up measured slower
+CODE_LIMB_BITS = 24  # window_codes' float32 product is exact below 2^24
 
 
 @dataclass(frozen=True)
@@ -103,13 +104,22 @@ class MajorityVoteModel:
         object.__setattr__(self, "bias", as_propensity(self.bias))
 
     def sample(self, stream_ids: np.ndarray, depth: int) -> np.ndarray:
-        n_source = depth + self.k - 1
-        r = threshold_bits(self.source.uniforms(stream_ids, 1, n_source), [self.bias])
-        # Each window sum is at most k, so differences of cumsums in k's dtype are exact mod 2^bits.
-        csum = np.zeros((r.shape[0], n_source + 1), dtype=np.min_scalar_type(self.k))
-        np.cumsum(r, axis=1, dtype=csum.dtype, out=csum[:, 1:])
-        window_sums = csum[:, self.k:] - csum[:, :-self.k]
-        return (window_sums > self.k // 2).astype(np.uint8)
+        k = self.k
+        r = threshold_bits(self.source.uniforms(stream_ids, 1, depth + k - 1), [self.bias])
+        # Window sums by doubling: spans[:, j] sums the m source bits from j, for m = 1, 2, 4, ...,
+        # and a length-k window is the spans that k's binary digits select, laid end to end.
+        # Every partial sum is at most k, so k's dtype holds it exactly.
+        spans, m, start, window_sums = r.astype(np.min_scalar_type(k), copy=False), 1, 0, None
+        while True:
+            if k & m:
+                piece = spans[:, start:start + depth]
+                window_sums = piece if window_sums is None else window_sums + piece
+                start += m
+            if 2 * m > k:
+                break
+            spans = spans[:, :-m] + spans[:, m:]
+            m *= 2
+        return (window_sums > k // 2).view(np.uint8)
 
     def generating_bits(self, depth: int) -> int:
         _check_nonnegative(depth)
@@ -221,19 +231,32 @@ def window_codes(bits: np.ndarray, length: int) -> Iterator[np.ndarray]:
     """Big-endian int64 code of each ``length``-column window of ``bits``, left to right.
 
     Yields one (N,) vector per window start t, holding sum_m bits[:, t + m]
-    2^(length - 1 - m).  It is the same vector every time, rolled in place to
-    the next window (drop the leaving bit, shift, add the next column), so a
-    caller that keeps one must copy it.
+    2^(length - 1 - m).  It is the same vector every time, overwritten in
+    place with the next window, so a caller that keeps one must copy it.
+
+    The first window is one float32 product per row chunk, with a column per
+    24-bit limb (exact below 2^24), joined by int64 shifts.  Each later one
+    rolls the vector: drop the leaving bit, shift, add the next column.
     """
-    if not 1 <= length <= min(bits.shape[1], 63):
-        raise ValueError(f"window length {length} is not in 1 .. min(depth {bits.shape[1]}, 63)")
-    code = np.zeros(bits.shape[0], dtype=np.int64)
-    for t in range(bits.shape[1]):
+    n, depth = bits.shape
+    if not 1 <= length <= min(depth, 63):
+        raise ValueError(f"window length {length} is not in 1 .. min(depth {depth}, 63)")
+    limb, place = np.divmod(np.arange(length - 1, -1, -1), CODE_LIMB_BITS)  # of each column's bit
+    weights = np.zeros((length, limb[0] + 1), dtype=np.float32)
+    weights[np.arange(length), limb] = np.exp2(place)
+    shifts = CODE_LIMB_BITS * np.arange(limb[0] + 1, dtype=np.int64)
+    code = np.empty(n, dtype=np.int64)
+    rows = max(1, SAMPLE_CHUNK_BITS // length)
+    for start in range(0, n, rows):
+        limbs = (bits[start:start + rows, :length].astype(np.float32) @ weights).astype(np.int64)
+        limbs <<= shifts
+        limbs.sum(axis=1, out=code[start:start + rows])
+    yield code
+    for t in range(length, depth):
         code &= (1 << (length - 1)) - 1
         code <<= 1
         code += bits[:, t]
-        if t >= length - 1:
-            yield code
+        yield code
 
 
 def sample_prefix(model: FiqModel, depth: int, stream_id: int | None = None) -> BitPrefix:

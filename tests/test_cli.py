@@ -391,6 +391,48 @@ class TestMalformedInput:
         assert capsys.readouterr().err == f"fiq: error: --blocks must be >= 1, got {blocks}\n"
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("command,output", [
+        (["sample"], "samples.csv"),
+        (["measure"], "report.json"),
+        (["arith", "--mode", "sample", "--constant", "3"], "arith.json"),
+    ])
+    @pytest.mark.parametrize("depth,samples,message", [
+        ("0", "500", "--depth must be >= 1, got 0"),
+        ("4", "0", "--samples must be >= 1, got 0"),
+        ("4", "-5", "--samples must be >= 1, got -5"),
+        ("0", "0", "--depth must be >= 1, got 0"),
+    ])
+    def test_depth_and_samples_below_one_exit_2_before_sampling(
+            self, tmp_path, capsys, monkeypatch, command, output, depth, samples, message):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before --depth and --samples were checked")
+
+        monkeypatch.setattr(fiq.cli, "sample_matrix", no_sampling)
+        code = run_cli([*command, "--model", json.dumps(MAJORITY_MODEL), "--depth", depth,
+                        "--samples", samples, "--seed", "1"], tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err == f"fiq: error: {message}\n"
+        assert not (tmp_path / output).exists()
+
+    def test_measure_too_few_samples_for_mi_exits_2_before_sampling(self, tmp_path, capsys, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before --samples was checked against the MI minimum")
+
+        monkeypatch.setattr(fiq.cli, "sample_matrix", no_sampling)
+        code = run_cli(["measure", "--model", json.dumps(MAJORITY_MODEL), "--depth", "4",
+                        "--samples", "99", "--seed", "1"], tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "fiq: error: --samples must be >= 100 for pairwise MI when --depth > 1, got 99\n")
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("depth,samples", [("1", "50"), ("4", "100")])
+    def test_measure_runs_at_the_mi_minimum_and_without_pairs(self, tmp_path, depth, samples):
+        code = run_cli(["measure", "--model", json.dumps(MAJORITY_MODEL), "--depth", depth,
+                        "--samples", samples, "--seed", "1"], tmp_path)
+        assert code == 0
+        assert json.loads((tmp_path / "report.json").read_text())["config"]["samples"] == int(samples)
+
     @pytest.mark.parametrize("message", ["Unable to allocate 3.64 TiB for an array", ""])
     def test_memory_error_exits_2(self, tmp_path, capsys, monkeypatch, message):
         def out_of_memory(*args, **kwargs):

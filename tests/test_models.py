@@ -22,7 +22,7 @@ from fiq.models import (
     window_codes,
 )
 from fiq.propensity import PropensityVector, TailPolicy
-from fiq.randombits import RandomBitSource, bias_threshold
+from fiq.randombits import RandomBitSource, bias_threshold, threshold_bits
 
 
 def fair_source(seed=11, stream=0):
@@ -173,7 +173,66 @@ def slow_window_codes(bits, length):
             for row in bits.tolist()]
 
 
+def rolling_window_codes(bits, length):
+    """Reference: one int64 code vector rolled across the columns (drop the leaving bit, shift, add the next)."""
+    code = np.zeros(bits.shape[0], dtype=np.int64)
+    for t in range(bits.shape[1]):
+        code &= (1 << (length - 1)) - 1
+        code <<= 1
+        code += bits[:, t]
+        if t >= length - 1:
+            yield code.copy()
+
+
+def cumsum_majority_bits(r, k):
+    """Reference: majority bits from differences of a padded cumsum over each row of source bits ``r``.
+
+    The cumsum is taken in k's dtype; each window sum is at most k, so the
+    differences are exact modulo 2^bits.
+    """
+    csum = np.zeros((r.shape[0], r.shape[1] + 1), dtype=np.min_scalar_type(k))
+    np.cumsum(r, axis=1, dtype=csum.dtype, out=csum[:, 1:])
+    return (csum[:, k:] - csum[:, :-k] > k // 2).astype(np.uint8)
+
+
+LIMB_EDGE_LENGTHS = (1, 23, 24, 25, 47, 48, 49, 63)  # window_codes' float32 limbs hold 24 bits
+
+
 class TestWindowCodes:
+    @given(data=st.data(), n=st.sampled_from([1, 2, 7, 100, 1001]), depth=st.integers(1, 130),
+           density=st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]), seed=st.integers(0, 2 ** 32 - 1),
+           chunk_bits=st.sampled_from([1, 64, 1000, 1 << 16]))
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_matches_rolling_reference(self, data, n, depth, density, seed, chunk_bits):
+        lengths = [L for L in LIMB_EDGE_LENGTHS if L <= depth]
+        length = data.draw(st.sampled_from(lengths) | st.integers(1, min(depth, 63)))
+        bits = (np.random.default_rng(seed).random((n, depth)) < density).astype(np.uint8)
+        with pytest.MonkeyPatch.context() as mp:  # chunks of SAMPLE_CHUNK_BITS // length rows
+            mp.setattr(fiq.models, "SAMPLE_CHUNK_BITS", chunk_bits)
+            codes = [c.copy() for c in window_codes(bits, length)]
+        expected = list(rolling_window_codes(bits, length))
+        assert len(codes) == len(expected) == depth - length + 1
+        for got, want in zip(codes, expected):
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("depth", [63, 64, 130])
+    @pytest.mark.parametrize("length", LIMB_EDGE_LENGTHS)
+    def test_limb_edges_all_ones_and_random(self, depth, length):
+        rng = np.random.default_rng(depth * 64 + length)
+        bits = np.vstack([np.ones((1, depth), dtype=np.uint8), np.zeros((1, depth), dtype=np.uint8),
+                          (rng.random((3001, depth)) < 0.5).astype(np.uint8)])
+        expected = list(rolling_window_codes(bits, length))
+        for t, got in enumerate(window_codes(bits, length)):
+            assert got[0] == (1 << length) - 1 and got[1] == 0
+            assert np.array_equal(got, expected[t])
+        assert t == depth - length
+
+    def test_yields_the_same_vector_every_time(self):
+        bits = np.eye(70, dtype=np.uint8)
+        vectors = {id(code) for code in window_codes(bits, 5)}
+        assert len(vectors) == 1
+
     @given(bits=st.integers(1, 12).flatmap(lambda d: st.lists(
         st.lists(st.integers(0, 1), min_size=d, max_size=d), min_size=1, max_size=6)))
     @settings(max_examples=100)
@@ -228,6 +287,22 @@ class TestSampleMatrix:
         # depth 300: each row's running sum passes 256 (wrapping in uint8) at every bias but 0
         model = MajorityVoteModel(k=k, source=fair_source(seed=12), bias=bias)
         assert sample_matrix(model, 300, 6).bits.tolist() == oracle_rows(model, 300, 6)
+
+    @given(k=st.integers(0, 150).map(lambda h: 2 * h + 1),
+           bias=st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)]),
+           depth=st.integers(1, 40), n=st.sampled_from([1, 2, 5, 33]), seed=st.integers(0, 2 ** 32 - 1),
+           chunk_rows=st.sampled_from([1, 4, 7, 1 << 16]))
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_window_sums_match_cumsum_reference(self, k, bias, depth, n, seed, chunk_rows):
+        # odd k up to 301 crosses into uint16 window sums at k = 257
+        model = MajorityVoteModel(k=k, source=fair_source(seed=seed, stream=3), bias=bias)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fiq.models, "SAMPLE_CHUNK_BITS", chunk_rows * model.generating_bits(depth))
+            got = sample_matrix(model, depth, n).bits
+        streams = np.arange(3, 3 + n, dtype=np.uint64)
+        r = threshold_bits(model.source.uniforms(streams, 1, depth + k - 1), [bias])
+        assert got.dtype == np.uint8 and got.shape == (n, depth)
+        assert np.array_equal(got, cumsum_majority_bits(r, k))
 
     def test_independent_frequencies_converge(self):
         pv = PropensityVector(["3/4", "1/4"])

@@ -177,28 +177,31 @@ def digit_law(table: Sequence[DeterminedDigits], weights: Iterable) -> dict:
     return law
 
 
-def leading_digits(law: Mapping[DeterminedDigits, object]) -> dict[tuple[int, ...], object]:
+def leading_digits(table: Iterable[DeterminedDigits], weights: Iterable) -> dict[tuple[int, ...], object]:
     """Total weight of each entry's determined fraction digits, cut after the last pair position.
 
-    Entries with an undetermined integer part are left out, so the result may
-    total less than the law.  Keys keep the order of their first entry.
+    Reads (entry, weight) pairs: a ``scaled_digit_table`` with one weight per
+    prefix value, or a ``digit_law``'s keys and values.  Zero weights and
+    entries with an undetermined integer part are left out, so the result may
+    total less than the weights.  Keys keep the order of their first entry.
     """
     last = max(DIGIT_PAIR_POSITIONS)
     leading: dict = {}
-    for dd, w in law.items():
-        if dd.integer_part is not None:
+    for dd, w in zip(table, weights, strict=True):
+        if w and dd.integer_part is not None:
             key = dd.fraction_bits[:last]
             leading[key] = leading.get(key, 0) + w
     return leading
 
 
-def digit_pair_joints(law: Mapping[DeterminedDigits, object]) -> dict[tuple[int, int], dict]:
+def digit_pair_joints(leading: Mapping[tuple[int, ...], object], denominator: int | None = None) -> dict:
     """Joint weight of the fraction digits at every pair i < j of ``DIGIT_PAIR_POSITIONS``.
 
     The (i, j) joint sums the ``leading_digits`` keys that determine digit j,
-    so its cells keep the order of their first law entry.
+    so its cells keep the order of their first key.  Cells are weight sums,
+    or with a ``denominator`` the exact ``Fraction(sum, denominator)`` of
+    integer ones.
     """
-    leading = leading_digits(law)
     joints = {}
     for i, j in itertools.combinations(DIGIT_PAIR_POSITIONS, 2):
         joint = joints[(i, j)] = {}
@@ -206,6 +209,8 @@ def digit_pair_joints(law: Mapping[DeterminedDigits, object]) -> dict[tuple[int,
             if len(key) >= j:
                 cell = (key[i - 1], key[j - 1])
                 joint[cell] = joint.get(cell, 0) + w
+        if denominator is not None:
+            joints[(i, j)] = {cell: Fraction(w, denominator) for cell, w in joint.items()}
     return joints
 
 
@@ -213,12 +218,14 @@ def scale_fiq_truncated(
     model: IndependentBitsModel,
     c: Fraction,
     depth: int,
-) -> dict[DeterminedDigits, Fraction]:
-    """Exact law of the determined digits of c * Q at truncation depth d.
+) -> tuple[list[DeterminedDigits], list[int], int]:
+    """Exact law of the determined digits of c * Q at truncation depth d, per prefix value.
 
-    Enumerates every depth-d prefix with its exact propensity weight (half
-    tails weight the positions beyond the explicit prefix by 1/2 each); the
-    undetermined tail beyond d is carried by the interval itself.
+    Returns ``(table, weights, denominator)``: ``table`` is ``scaled_digit_table(c, depth)``,
+    and prefix value v has the exact propensity weight ``weights[v] / denominator`` (half
+    tails weight the positions beyond the explicit prefix by 1/2 each), the shape of a
+    sample's table, ``prefix_counts`` and size.  The undetermined tail beyond d is carried
+    by the interval itself.
     """
     if not isinstance(model, IndependentBitsModel):
         raise ValueError("exact scaling is defined for independent-bit models only")
@@ -228,14 +235,13 @@ def scale_fiq_truncated(
             f"depth {depth} exceeds prefix length {pv.prefix_length} with unspecified tail"
         )
     table = scaled_digit_table(c, depth)
-    # weight of every prefix value as an integer over the common denominator
     weights = [1]
     denominator = 1
     for position in range(1, depth + 1):
         a, b = pv.propensity_at(position).as_integer_ratio()
         weights = [w * bit for w in weights for bit in (b - a, a)]
         denominator *= b
-    return {dd: Fraction(w, denominator) for dd, w in digit_law(table, weights).items()}
+    return table, weights, denominator
 
 
 def prefix_values(sample: SampleMatrix) -> np.ndarray:

@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -150,26 +151,22 @@ def cmd_arith(args) -> int:
         stream=args.stream,
     )
     if args.mode == "exact":
-        law = scale_fiq_truncated(model, args.constant, args.depth)
-        prob = format_rational
+        table, weights, total = scale_fiq_truncated(model, args.constant, args.depth)
     else:
         if args.seed is None:
             raise FiqError("--seed is required in sample mode")
         table = scaled_digit_table(args.constant, args.depth)  # checks the depth bound before sampling
         _check_sample_shape(args)
         s = sample_matrix(model, args.depth, args.samples, threads=args.threads)
-        law = digit_law(table, prefix_counts(s))
-
-        def prob(count: int) -> float:
-            return count / args.samples
+        weights, total = prefix_counts(s), args.samples
 
     entries = [
         {
             "int": dd.integer_part,
             "frac": "".join(str(b) for b in dd.fraction_bits),
-            "prob": prob(w),
+            "prob": format_rational(Fraction(w, total)) if args.mode == "exact" else w / total,
         }
-        for dd, w in law.items()
+        for dd, w in digit_law(table, weights).items()
     ]
     entries.sort(key=lambda e: (e["int"] is None, e["int"], e["frac"]))
     doc = {

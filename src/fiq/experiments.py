@@ -27,7 +27,6 @@ from typing import Mapping
 
 from .arithmetic import (
     DIGIT_PAIR_POSITIONS,
-    digit_law,
     digit_pair_joints,
     leading_digits,
     prefix_counts,
@@ -194,7 +193,8 @@ def run_units_critique(spec: ExperimentSpec) -> ExperimentVerdict:
     biased = any(q != HALF for q in model.pv.prefix)
     expect_correlation = biased and not _is_power_of_two(c)
 
-    exact_joints = digit_pair_joints(scale_fiq_truncated(model, c, spec.depth))
+    table, weights, denominator = scale_fiq_truncated(model, c, spec.depth)
+    exact_joints = digit_pair_joints(leading_digits(table, weights), denominator)
     exact_mi = {pair: mi_from_joint(j) for pair, j in exact_joints.items()}
     exact_indep = {pair: joint_is_independent(j) for pair, j in exact_joints.items()}
     claims = [Claim(
@@ -207,7 +207,7 @@ def run_units_critique(spec: ExperimentSpec) -> ExperimentVerdict:
     )]
 
     sample = sample_matrix(model, spec.depth, spec.samples, threads=spec.threads)
-    count_joints = digit_pair_joints(digit_law(scaled_digit_table(c, spec.depth), prefix_counts(sample)))
+    count_joints = digit_pair_joints(leading_digits(table, prefix_counts(sample)))
 
     worst_z = 0.0
     cells_ok = True
@@ -415,8 +415,8 @@ def run_units_on_majority(spec: ExperimentSpec) -> ExperimentVerdict:
     # correlation structure and candidate measures before/after scaling
     d_in = min(spec.depth, 8)
     before = correlated_info_content(sample, d_in)
-    law = digit_law(table, counts)
-    count_joints = digit_pair_joints(law)
+    leading = leading_digits(table, counts)
+    count_joints = digit_pair_joints(leading)
     floor = mi_noise_floor(spec.samples)
     out_mi = {pair: mi_from_joint(j) for pair, j in count_joints.items()}
     tables = {
@@ -429,7 +429,7 @@ def run_units_on_majority(spec: ExperimentSpec) -> ExperimentVerdict:
         ],
     }
     # output-digit joint over all the designated positions: the keys that determine the last one
-    out_counts = {key: w for key, w in leading_digits(law).items() if len(key) == max(DIGIT_PAIR_POSITIONS)}
+    out_counts = {key: w for key, w in leading.items() if len(key) == max(DIGIT_PAIR_POSITIONS)}
     if out_counts:
         after = correlated_info_from_dist(out_counts)
         tables["candidate_measures"].append({"stage": "output", **asdict(after)})

@@ -18,6 +18,7 @@ import numpy as np
 
 from fiq.arithmetic import (
     digit_pair_joints,
+    leading_digits,
     prefix_to_interval,
     prefix_values,
     scale_by_constant,
@@ -180,8 +181,8 @@ def test_criterion_5_change_of_units_critique():
         n, depth = 100_000, 12
         model = IndependentBitsModel(pv=PropensityVector(["3/4", "3/4"]),
                                      source=RandomBitSource(seed=1))
-        dist = scale_fiq_truncated(model, Fraction(3), depth)
-        joints = digit_pair_joints(dist)
+        table, weights, denominator = scale_fiq_truncated(model, Fraction(3), depth)
+        joints = digit_pair_joints(leading_digits(table, weights), denominator)
         assert any(not joint_is_independent(j) for j in joints.values())
         assert max(mi_from_joint(j) for j in joints.values()) > 0.0
 
@@ -209,8 +210,8 @@ def test_criterion_5_change_of_units_critique():
         # control: uniform quantity scaled by 3 stays digit-independent
         uniform = IndependentBitsModel(pv=PropensityVector([]),
                                        source=RandomBitSource(seed=1))
-        udist = scale_fiq_truncated(uniform, Fraction(3), depth)
-        ujoints = digit_pair_joints(udist)
+        utable, uweights, udenominator = scale_fiq_truncated(uniform, Fraction(3), depth)
+        ujoints = digit_pair_joints(leading_digits(utable, uweights), udenominator)
         assert all(joint_is_independent(j) for j in ujoints.values())
         us = sample_matrix(uniform, depth, n)
         ucounts = np.bincount(prefix_values(us), minlength=1 << depth)

@@ -1,5 +1,11 @@
+import contextlib
+import io
 import itertools
+import json
+import random
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,10 +28,12 @@ from fiq.arithmetic import (
     scale_fiq_truncated,
     scaled_digit_table,
 )
+from fiq.cli import main
 from fiq.errors import EnumerationBoundError
 from fiq.models import BitPrefix, IndependentBitsModel, SampleMatrix, sample_matrix
 from fiq.propensity import PropensityVector
 from fiq.randombits import RandomBitSource
+from fiq.rational import format_rational
 
 CONSTANTS = [Fraction(1), Fraction(1, 2), Fraction(2), Fraction(3), Fraction(10),
              Fraction(1143, 1250)]
@@ -202,10 +210,16 @@ JOINT_CASES = [
 ]
 
 
+def exact_law(model, c, depth):
+    """The exact law as one reduced Fraction per ``digit_law`` entry."""
+    table, weights, denominator = scale_fiq_truncated(model, c, depth)
+    return {dd: Fraction(w, denominator) for dd, w in digit_law(table, weights).items()}
+
+
 def exact_and_count_laws(prefix, c):
     """Three laws of one model at depth 10: exact, exact in reverse entry order, and sample counts."""
     model = model_of(prefix)
-    exact = scale_fiq_truncated(model, c, 10)
+    exact = exact_law(model, c, 10)
     counts = prefix_counts(sample_matrix(model, 10, 5000))
     return exact, dict(reversed(exact.items())), digit_law(scaled_digit_table(c, 10), counts)
 
@@ -214,7 +228,7 @@ class TestDigitPairJoints:
     @pytest.mark.parametrize("prefix,c", JOINT_CASES)
     def test_same_cells_values_and_order_as_per_pair_reference(self, prefix, c):
         for law, weight_type in zip(exact_and_count_laws(prefix, c), (Fraction, Fraction, int)):
-            joints = digit_pair_joints(law)
+            joints = digit_pair_joints(leading_digits(law, law.values()))
             assert list(joints) == list(itertools.combinations(DIGIT_PAIR_POSITIONS, 2))
             for pair, joint in joints.items():
                 assert list(joint.items()) == list(reference_joint(law, pair).items())
@@ -223,7 +237,7 @@ class TestDigitPairJoints:
     @pytest.mark.parametrize("prefix,c", JOINT_CASES)
     def test_four_digit_joint_is_the_full_length_keys(self, prefix, c):
         for law in exact_and_count_laws(prefix, c):
-            full = {key: w for key, w in leading_digits(law).items() if len(key) == 4}
+            full = {key: w for key, w in leading_digits(law, law.values()).items() if len(key) == 4}
             assert list(full.items()) == list(reference_joint(law, DIGIT_PAIR_POSITIONS).items())
 
     def test_leading_digits_cuts_after_the_last_position(self):
@@ -233,7 +247,92 @@ class TestDigitPairJoints:
             DeterminedDigits(2, (1, 0, 1, 1)): 4,
             DeterminedDigits(1, (0,)): 1,
         }
-        assert list(leading_digits(law).items()) == [((1, 0, 1, 1), 7), ((0,), 1)]
+        assert list(leading_digits(law, law.values()).items()) == [((1, 0, 1, 1), 7), ((0,), 1)]
+
+
+def reference_fraction_law(model, c, depth):
+    """The exact law with one Fraction product weight per prefix value, summed per table entry."""
+    law = {}
+    for v, dd in enumerate(scaled_digit_table(c, depth)):
+        w = Fraction(1)
+        for position in range(1, depth + 1):
+            q = model.pv.propensity_at(position)
+            w *= q if (v >> (depth - position)) & 1 else 1 - q
+        if w:
+            law[dd] = law.get(dd, 0) + w
+    return law
+
+
+def reference_leading_digits(law):
+    """Leading-digit histogram of a law, one entry at a time (the pipeline before integer weights)."""
+    leading = {}
+    for dd, w in law.items():
+        if dd.integer_part is not None:
+            key = dd.fraction_bits[:max(DIGIT_PAIR_POSITIONS)]
+            leading[key] = leading.get(key, 0) + w
+    return leading
+
+
+def reference_digit_pair_joints(law):
+    leading = reference_leading_digits(law)
+    joints = {}
+    for i, j in itertools.combinations(DIGIT_PAIR_POSITIONS, 2):
+        joint = joints[(i, j)] = {}
+        for key, w in leading.items():
+            if len(key) >= j:
+                cell = (key[i - 1], key[j - 1])
+                joint[cell] = joint.get(cell, 0) + w
+    return joints
+
+
+ORACLE_PREFIXES = st.lists(st.fractions(min_value=0, max_value=1, max_denominator=8), max_size=3)
+ORACLE_CONSTANTS = st.one_of(
+    st.builds(Fraction, st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=12)),
+    st.just(Fraction(1143, 1250)),
+    st.just(Fraction(1, 2)),
+)
+
+
+class TestIntegerJointsOracle:
+    """Integer weights until the joint cells, against the Fraction law they replace."""
+
+    @given(prefix=ORACLE_PREFIXES, c=ORACLE_CONSTANTS, depth=st.integers(min_value=1, max_value=10))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_exact_joints_and_arith_law_match_the_fraction_law(self, prefix, c, depth):
+        model = model_of(prefix)
+        reference = reference_fraction_law(model, c, depth)
+        table, weights, denominator = scale_fiq_truncated(model, c, depth)
+        joints = digit_pair_joints(leading_digits(table, weights), denominator)
+        expected = reference_digit_pair_joints(reference)
+        assert list(joints) == list(expected)
+        for pair, joint in joints.items():
+            assert list(joint.items()) == list(expected[pair].items())
+            assert all(type(w) is Fraction for w in joint.values())
+
+        with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+            code = main(["arith", "--mode", "exact", "--model", json.dumps(model.to_json()),
+                         "--constant", format_rational(c), "--depth", str(depth), "--out", out])
+            entries = json.loads((Path(out) / "arith.json").read_text())["digits_distribution"]
+        assert code == 0
+        expected_entries = sorted(
+            ({"int": dd.integer_part, "frac": "".join(map(str, dd.fraction_bits)), "prob": format_rational(w)}
+             for dd, w in reference.items()),
+            key=lambda e: (e["int"] is None, e["int"], e["frac"]))
+        assert entries == expected_entries
+
+    @given(prefix=ORACLE_PREFIXES, c=ORACLE_CONSTANTS, depth=st.integers(min_value=1, max_value=10),
+           seed=st.integers(min_value=0, max_value=2**32))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_count_joints_match_the_count_law(self, prefix, c, depth, seed):
+        rng = random.Random(seed)
+        counts = [rng.choice((0, 0, 1, 2, 7, 1000)) for _ in range(1 << depth)]
+        table = scaled_digit_table(c, depth)
+        joints = digit_pair_joints(leading_digits(table, counts))
+        expected = reference_digit_pair_joints(digit_law(table, counts))
+        assert list(joints) == list(expected)
+        for pair, joint in joints.items():
+            assert list(joint.items()) == list(expected[pair].items())
+            assert all(type(w) is int for w in joint.values())
 
 
 class TestDigitsOfRational:
@@ -248,11 +347,11 @@ class TestDigitsOfRational:
 
 class TestScaleFiqTruncated:
     def test_determined_shift(self):
-        dist = scale_fiq_truncated(model_of([1]), Fraction(1, 2), 1)
+        dist = exact_law(model_of([1]), Fraction(1, 2), 1)
         assert dist == {DeterminedDigits(0, (0, 1)): Fraction(1)}
 
     def test_uniform_times_three(self):
-        dist = scale_fiq_truncated(model_of([]), Fraction(3), 2)
+        dist = exact_law(model_of([]), Fraction(3), 2)
         assert dist == {
             DeterminedDigits(0, ()): Fraction(1, 4),     # [0, 3/4)
             DeterminedDigits(None, ()): Fraction(1, 2),  # spans 1 or 2
@@ -260,7 +359,7 @@ class TestScaleFiqTruncated:
         }
 
     def test_biased_weights(self):
-        dist = scale_fiq_truncated(model_of(["3/4", "3/4"]), Fraction(3), 2)
+        dist = exact_law(model_of(["3/4", "3/4"]), Fraction(3), 2)
         assert sum(dist.values()) == 1
         by_prefix = {
             (1, 1): Fraction(9, 16), (1, 0): Fraction(3, 16),

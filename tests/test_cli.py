@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import fiq.cli
+import fiq.experiments
 from fiq.cli import main
 from fiq.models import model_from_json, sample_matrix
 
@@ -16,6 +17,7 @@ MAJORITY_MODEL = {"type": "majority", "k": 3, "bias": "1/2"}
 BIASED_MODEL = {"type": "independent", "pv": {"prefix": ["3/4", "3/4"], "tail": "half"}}
 # certain, impossible and biased bits, then fair ones
 MIXED_MODEL = {"type": "independent", "pv": {"prefix": ["1", "0", "3/4", "1/5"], "tail": "half"}}
+UNSPECIFIED_TAIL_MODEL = {"type": "independent", "pv": {"prefix": ["3/4"], "tail": "unspecified"}}
 
 
 def run_cli(args, tmp_path):
@@ -343,6 +345,35 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert "depth must be >= 0, got -1" in err and len(err.splitlines()) == 1
         assert not (tmp_path / "arith.json").exists()
+
+    @pytest.mark.parametrize("model,depth,message", [
+        (MAJORITY_MODEL, "12", "exact scaling is defined for independent-bit models only"),
+        (MAJORITY_MODEL, "21", "exact scaling is defined for independent-bit models only"),
+        (UNSPECIFIED_TAIL_MODEL, "12", "depth 12 exceeds prefix length 1 with unspecified tail"),
+        (UNSPECIFIED_TAIL_MODEL, "21", "depth 21 exceeds prefix length 1 with unspecified tail"),
+    ])
+    def test_arith_exact_invalid_model_exits_2(self, tmp_path, capsys, model, depth, message):
+        # the model kind is checked first, then the unspecified tail, then the depth bound
+        code = run_cli(["arith", "--mode", "exact", "--model", json.dumps(model), "--constant", "3",
+                        "--depth", depth], tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err == f"fiq: error: {message}\n"
+        assert not (tmp_path / "arith.json").exists()
+
+    def test_units_spec_unspecified_tail_exits_2_before_sampling(self, tmp_path, capsys, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the unspecified tail was checked")
+
+        monkeypatch.setattr(fiq.experiments, "sample_matrix", no_sampling)
+        spec = {"name": "units:unspecified-tail", "model": UNSPECIFIED_TAIL_MODEL,
+                "depth": 12, "samples": 1000, "constant": "3"}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        code = run_cli(["experiment", "units", "--spec", str(spec_path), "--seed", "1"], tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "fiq: error: depth 12 exceeds prefix length 1 with unspecified tail\n")
+        assert not (tmp_path / "verdict.json").exists()
 
     @pytest.mark.parametrize("kind,preset", [("units", "uniform-x3-control"),
                                              ("units-majority", "k3-x3")])

@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+import fiq.arithmetic
 import fiq.experiments
 from fiq.arithmetic import DeterminedDigits, prefix_counts
 from fiq.errors import EnumerationBoundError
 from fiq.experiments import (
+    PRESETS,
     ExperimentSpec,
     consumed_source_indices,
     preset_spec,
@@ -247,11 +249,40 @@ class TestDeterminism:
 
 class TestDigitPairJoints:
     def test_excluded_mass_is_small_at_depth_12(self):
-        from fiq.arithmetic import digit_pair_joints, scale_fiq_truncated
+        from fiq.arithmetic import digit_pair_joints, leading_digits, scale_fiq_truncated
 
         model = IndependentBitsModel(pv=PropensityVector(["3/4", "3/4"]),
                                      source=RandomBitSource(seed=1))
-        dist = scale_fiq_truncated(model, Fraction(3), 12)
-        joints = digit_pair_joints(dist)
+        table, weights, denominator = scale_fiq_truncated(model, Fraction(3), 12)
+        joints = digit_pair_joints(leading_digits(table, weights), denominator)
         for joint in joints.values():
             assert sum(joint.values()) > Fraction(99, 100)
+
+
+class TestWorkCounts:
+    """Digit tables and exact enumerations each runner builds, counted through wrappers."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"scaled_digit_table": 0, "scale_fiq_truncated": 0}
+        for name in calls:
+            real = getattr(fiq.arithmetic, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            # scale_fiq_truncated builds its table through the fiq.arithmetic binding
+            for module in (fiq.arithmetic, fiq.experiments):
+                monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS["units"]))
+    def test_units_critique_builds_one_table(self, calls, preset):
+        run_units_critique(small(preset_spec("units", preset, seed=1), samples=2000))
+        assert calls == {"scaled_digit_table": 1, "scale_fiq_truncated": 1}
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS["units-majority"]))
+    def test_units_on_majority_builds_one_table(self, calls, preset):
+        run_units_on_majority(small(preset_spec("units-majority", preset, seed=1), samples=2000))
+        assert calls == {"scaled_digit_table": 1, "scale_fiq_truncated": 0}

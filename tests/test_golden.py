@@ -30,12 +30,17 @@ CONSTANT_COLUMNS = json.dumps({"type": "independent",
 EDGE_PROPENSITIES = json.dumps({"type": "independent",
                                 "pv": {"prefix": ["1", "0", "1/3", "3/4"], "tail": "half"}})
 MAJORITY_K5_THIRD = json.dumps({"type": "majority", "k": 5, "bias": "1/3"})
+BIASED_X3 = json.dumps({"type": "independent", "pv": {"prefix": ["3/4", "3/4"], "tail": "half"}})
 
 COMMANDS = {
     "units-biased-x3": ["experiment", "units", "--preset", "biased-x3"],
+    "units-biased-yards-to-meters": ["experiment", "units", "--preset", "biased-yards-to-meters"],
+    "units-biased-half-shift-control": ["experiment", "units", "--preset", "biased-half-shift-control"],
     "majority-k3": ["experiment", "majority", "--preset", "k3"],
     "units-majority-k3-x3": ["experiment", "units-majority", "--preset", "k3-x3"],
     "arith-exact": ["arith", "--model", BIASED, "--constant", "1143/1250", "--depth", "10"],
+    "arith-exact-biased-x3": ["arith", "--mode", "exact", "--model", BIASED_X3, "--constant", "3",
+                              "--depth", "12"],
     "arith-sample": ["arith", "--mode", "sample", "--model", MAJORITY_K3, "--constant", "3",
                      "--depth", "10", "--samples", "20000"],
     "measure": ["measure", "--model", MAJORITY_K3, "--depth", "8", "--samples", "5000",

@@ -16,9 +16,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DepthBeyondKnowledgeError, EnumerationBoundError
-from .models import BitPrefix, IndependentBitsModel, SampleMatrix, window_codes
-from .propensity import TailPolicy
+from .errors import EnumerationBoundError
+from .models import BitPrefix, FiqModel, SampleMatrix, window_codes
 
 EXACT_ENUMERATION_MAX_DEPTH = 20
 
@@ -214,33 +213,14 @@ def digit_pair_joints(leading: Mapping[tuple[int, ...], object], denominator: in
     return joints
 
 
-def scale_fiq_truncated(
-    model: IndependentBitsModel,
-    c: Fraction,
-    depth: int,
-) -> tuple[list[DeterminedDigits], list[int], int]:
-    """Exact law of the determined digits of c * Q at truncation depth d, per prefix value.
+def scale_fiq_truncated(model: FiqModel, c: Fraction, depth: int) -> tuple[list[DeterminedDigits], list[int], int]:
+    """Exact law of the determined digits of c * Q at depth d: ``(table, weights, denominator)``.
 
-    Returns ``(table, weights, denominator)``: ``table`` is ``scaled_digit_table(c, depth)``,
-    and prefix value v has the exact propensity weight ``weights[v] / denominator`` (half
-    tails weight the positions beyond the explicit prefix by 1/2 each), the shape of a
-    sample's table, ``prefix_counts`` and size.  The undetermined tail beyond d is carried
-    by the interval itself.
+    ``scaled_digit_table(c, depth)``, checking the depth bound before any weight is built, then
+    ``model.prefix_weights(depth)``: the shape of a sample's table, ``prefix_counts`` and size.
     """
-    if not isinstance(model, IndependentBitsModel):
-        raise ValueError("exact scaling is defined for independent-bit models only")
-    pv = model.pv
-    if pv.tail is TailPolicy.UNSPECIFIED and depth > pv.prefix_length:
-        raise DepthBeyondKnowledgeError(
-            f"depth {depth} exceeds prefix length {pv.prefix_length} with unspecified tail"
-        )
     table = scaled_digit_table(c, depth)
-    weights = [1]
-    denominator = 1
-    for position in range(1, depth + 1):
-        a, b = pv.propensity_at(position).as_integer_ratio()
-        weights = [w * bit for w in weights for bit in (b - a, a)]
-        denominator *= b
+    weights, denominator = model.prefix_weights(depth)
     return table, weights, denominator
 
 

@@ -89,15 +89,16 @@ def _add_model_flags(p: argparse.ArgumentParser, need_seed: bool = True) -> None
     p.add_argument("--out", default=None, help="output directory")
 
 
-def _check_sample_shape(args) -> None:
-    """Reject a --depth or --samples that sample_matrix would reject, naming the flag, before any work."""
-    for flag, value in (("--depth", args.depth), ("--samples", args.samples)):
+def _check_at_least_one(args, *flags: str) -> None:
+    """Reject any of these integer flags below 1, naming it, before any work."""
+    for flag in flags:
+        value = getattr(args, flag)
         if value < 1:
-            raise FiqError(f"{flag} must be >= 1, got {value}")
+            raise FiqError(f"--{flag} must be >= 1, got {value}")
 
 
 def cmd_sample(args) -> int:
-    _check_sample_shape(args)
+    _check_at_least_one(args, "depth", "samples", "threads")
     model = model_from_json(_load_model_doc(args.model), seed=args.seed, stream=args.stream)
     s = sample_matrix(model, args.depth, args.samples, threads=args.threads)
     out = _outdir(args) / "samples.csv"
@@ -112,9 +113,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    if args.blocks < 1:
-        raise FiqError(f"--blocks must be >= 1, got {args.blocks}")
-    _check_sample_shape(args)
+    _check_at_least_one(args, "blocks", "depth", "samples", "threads")
     if args.depth > 1 and args.samples < MIN_MI_SAMPLES:  # correlation_report estimates every pair's MI
         raise FiqError(f"--samples must be >= {MIN_MI_SAMPLES} for pairwise MI when --depth > 1, "
                        f"got {args.samples}")
@@ -145,6 +144,7 @@ def cmd_measure(args) -> int:
 
 
 def cmd_arith(args) -> int:
+    _check_at_least_one(args, "depth", "threads")
     model = model_from_json(
         _load_model_doc(args.model),
         seed=args.seed if args.seed is not None else 0,
@@ -156,7 +156,7 @@ def cmd_arith(args) -> int:
         if args.seed is None:
             raise FiqError("--seed is required in sample mode")
         table = scaled_digit_table(args.constant, args.depth)  # checks the depth bound before sampling
-        _check_sample_shape(args)
+        _check_at_least_one(args, "samples")
         s = sample_matrix(model, args.depth, args.samples, threads=args.threads)
         weights, total = prefix_counts(s), args.samples
 
@@ -190,6 +190,7 @@ def cmd_arith(args) -> int:
 def cmd_experiment(args) -> int:
     if (args.preset is None) == (args.spec is None):
         raise FiqError("give exactly one of --preset or --spec")
+    _check_at_least_one(args, "threads")
     if args.preset is not None:
         spec = preset_spec(args.kind, args.preset, seed=args.seed)
     else:

@@ -15,6 +15,7 @@ overlap structure is unchanged by this re-indexing.
 
 from __future__ import annotations
 
+import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -25,9 +26,9 @@ from typing import ClassVar, Iterator, Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .errors import EnumerationBoundError
+from .errors import DepthBeyondKnowledgeError, EnumerationBoundError
 from .jsonfields import json_int, json_rational, reject_unknown_fields, require_fields
-from .propensity import HALF, PropensityVector, as_propensity
+from .propensity import HALF, PropensityVector, TailPolicy, as_propensity
 from .randombits import RandomBitSource, threshold_bits
 from .rational import format_rational
 
@@ -65,7 +66,7 @@ class BitPrefix:
 
 
 class FiqModel(Protocol):
-    """A bit-generating model: what sampling, experiments and the CLI rely on.
+    """A bit-generating model: what sampling, exact digit laws, experiments and the CLI rely on.
 
     A new model is one class providing these members, plus one branch in
     ``model_from_json`` that reads it back.
@@ -79,6 +80,9 @@ class FiqModel(Protocol):
 
     def generating_bits(self, depth: int) -> int:
         """Number of source bits that determine the first ``depth`` model bits."""
+
+    def prefix_weights(self, depth: int) -> tuple[list[int], int]:
+        """Exact law of the first ``depth`` bits: integer weight of each big-endian prefix value, and their sum."""
 
     def to_json(self) -> dict:
         """JSON form that ``model_from_json`` reads back."""
@@ -125,6 +129,11 @@ class MajorityVoteModel:
         _check_nonnegative(depth)
         return depth + self.k - 1 if depth else 0
 
+    def prefix_weights(self, depth: int) -> tuple[list[int], int]:
+        # the window joint at offsets 1 .. d; its state keys list bit 1 first, so product order is big-endian
+        states, denominator = _window_states(self.k, self.bias, range(1, depth + 1))
+        return [states.get(bits, 0) for bits in itertools.product((0, 1), repeat=depth)], denominator
+
     def to_json(self) -> dict:
         return {
             "type": "majority",
@@ -151,6 +160,21 @@ class IndependentBitsModel:
     def generating_bits(self, depth: int) -> int:
         _check_nonnegative(depth)
         return depth
+
+    def prefix_weights(self, depth: int) -> tuple[list[int], int]:
+        """Products of the propensities; half tails weight the positions beyond the prefix by 1/2 each."""
+        pv = self.pv
+        if pv.tail is TailPolicy.UNSPECIFIED and depth > pv.prefix_length:
+            raise DepthBeyondKnowledgeError(
+                f"depth {depth} exceeds prefix length {pv.prefix_length} with unspecified tail"
+            )
+        weights = [1]
+        denominator = 1
+        for position in range(1, depth + 1):
+            a, b = pv.propensity_at(position).as_integer_ratio()
+            weights = [w * bit for w in weights for bit in (b - a, a)]
+            denominator *= b
+        return weights, denominator
 
     def to_json(self) -> dict:
         return {
@@ -304,20 +328,15 @@ def enumeration_span(k: int, offsets: Sequence[int]) -> int:
     return span
 
 
-def exact_window_joint(
-    k: int,
-    bias: Fraction,
-    offsets: Sequence[int],
-) -> dict[tuple[int, ...], Fraction]:
-    """Exact joint law of the majority-vote bits at the given positions.
+def _window_states(k: int, bias: Fraction, offsets: Sequence[int]) -> tuple[dict[tuple[int, ...], int], int]:
+    """Integer weight of every reachable outcome of the majority bits at ``offsets``, and b^span.
 
     The span of source bits (max(offsets) - min(offsets) + k, at most
     ENUMERATION_BIT_BOUND) is cut at every window start and end.  A segment
     of n bits holding j ones weighs C(n, j) a^j (b - a)^(n - j) for bias a/b,
     and each state (every window's ones so far, or its majority bit once the
-    window has ended) carries an integer weight; the law is those weights
-    over b^span.  Every outcome is a key, zero cells included, in increasing
-    order of sum outcome[i] 2^i.
+    window has ended) carries an integer weight.  Outcomes of zero weight
+    are absent.
     """
     if k < 1 or k % 2 == 0:
         raise ValueError(f"window length k must be an odd positive integer, got {k}")
@@ -344,8 +363,16 @@ def exact_window_joint(
                 )
                 after[key] = after.get(key, 0) + weight * w
         states = after
-    denominator = b ** span
-    outcomes = (tuple((code >> i) & 1 for i in range(len(rel))) for code in range(1 << len(rel)))
+    return states, b ** span
+
+
+def exact_window_joint(k: int, bias: Fraction, offsets: Sequence[int]) -> dict[tuple[int, ...], Fraction]:
+    """Exact joint law of the majority-vote bits at ``offsets``: the ``_window_states`` weights over b^span.
+
+    Every outcome is a key, zero cells included, in increasing order of sum outcome[i] 2^i.
+    """
+    states, denominator = _window_states(k, bias, offsets)
+    outcomes = (tuple((code >> i) & 1 for i in range(len(offsets))) for code in range(1 << len(offsets)))
     return {outcome: Fraction(states.get(outcome, 0), denominator) for outcome in outcomes}
 
 

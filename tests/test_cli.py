@@ -5,13 +5,15 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import fiq.cli
 import fiq.experiments
 from fiq.cli import main
-from fiq.models import model_from_json, sample_matrix
+from fiq.models import exact_window_joint, model_from_json, sample_matrix
+from fiq.rational import format_rational, parse_rational
 
 MAJORITY_MODEL = {"type": "majority", "k": 3, "bias": "1/2"}
 BIASED_MODEL = {"type": "independent", "pv": {"prefix": ["3/4", "3/4"], "tail": "half"}}
@@ -139,10 +141,6 @@ class TestArith:
                         "--constant", "3", "--depth", "4"], tmp_path)
         assert code == 0
         doc = json.loads((tmp_path / "arith.json").read_text())
-        from fractions import Fraction
-
-        from fiq.rational import parse_rational
-
         entries = doc["digits_distribution"]
         assert all(isinstance(e["prob"], str) for e in entries)
         assert sum(parse_rational(e["prob"]) for e in entries) == Fraction(1)
@@ -161,10 +159,18 @@ class TestArith:
                      "--constant", "3/0", "--depth", "4"], tmp_path)
         assert err.value.code == 2
 
-    def test_exact_mode_rejects_majority_model(self, tmp_path):
-        code = run_cli(["arith", "--model", json.dumps(MAJORITY_MODEL),
-                        "--constant", "3", "--depth", "4"], tmp_path)
-        assert code == 2
+    @pytest.mark.parametrize("constant", ["1", "2"])
+    def test_exact_mode_on_majority_model(self, tmp_path, constant):
+        # at c = 1 and 2 each entry keeps all of its prefix's bits, so its prob is one window-joint cell
+        depth = 6
+        code = run_cli(["arith", "--mode", "exact", "--model", json.dumps(MAJORITY_MODEL),
+                        "--constant", constant, "--depth", str(depth)], tmp_path)
+        assert code == 0
+        entries = json.loads((tmp_path / "arith.json").read_text())["digits_distribution"]
+        got = {tuple(int(b) for b in (str(e["int"]) + e["frac"])[-depth:]): e["prob"] for e in entries}
+        joint = exact_window_joint(3, Fraction(1, 2), range(1, depth + 1))
+        assert len(got) == len(entries)
+        assert got == {bits: format_rational(p) for bits, p in joint.items() if p}
 
     def test_sample_mode_requires_seed(self, tmp_path):
         code = run_cli(["arith", "--model", json.dumps(BIASED_MODEL),
@@ -337,23 +343,27 @@ class TestMalformedInput:
         assert not (tmp_path / "arith.json").exists()
 
     @pytest.mark.parametrize("mode", ["exact", "sample"])
-    def test_arith_negative_depth_exits_2(self, tmp_path, capsys, mode):
+    @pytest.mark.parametrize("depth", ["-1", "0"])
+    def test_arith_negative_depth_exits_2(self, tmp_path, capsys, monkeypatch, mode, depth):
+        def no_work(*args, **kwargs):
+            raise AssertionError("read the model before --depth was checked")
+
+        monkeypatch.setattr(fiq.cli, "model_from_json", no_work)
         model = {"type": "independent", "pv": {"prefix": ["3/4"], "tail": "half"}}
         code = run_cli(["arith", "--mode", mode, "--model", json.dumps(model), "--constant", "3",
-                        "--depth", "-1", "--seed", "1"], tmp_path)
+                        "--depth", depth, "--seed", "1"], tmp_path)
         assert code == 2
-        err = capsys.readouterr().err
-        assert "depth must be >= 0, got -1" in err and len(err.splitlines()) == 1
+        assert capsys.readouterr().err == f"fiq: error: --depth must be >= 1, got {depth}\n"
         assert not (tmp_path / "arith.json").exists()
 
     @pytest.mark.parametrize("model,depth,message", [
-        (MAJORITY_MODEL, "12", "exact scaling is defined for independent-bit models only"),
-        (MAJORITY_MODEL, "21", "exact scaling is defined for independent-bit models only"),
+        (MAJORITY_MODEL, "21", "depth 21 exceeds exact enumeration bound 20"),
+        ({"type": "majority", "k": 23}, "3", "enumeration needs 25 source bits, bound is 24"),
         (UNSPECIFIED_TAIL_MODEL, "12", "depth 12 exceeds prefix length 1 with unspecified tail"),
-        (UNSPECIFIED_TAIL_MODEL, "21", "depth 21 exceeds prefix length 1 with unspecified tail"),
+        (UNSPECIFIED_TAIL_MODEL, "21", "depth 21 exceeds exact enumeration bound 20"),
     ])
     def test_arith_exact_invalid_model_exits_2(self, tmp_path, capsys, model, depth, message):
-        # the model kind is checked first, then the unspecified tail, then the depth bound
+        # the depth bound is checked first, then the model's enumeration span or unspecified tail
         code = run_cli(["arith", "--mode", "exact", "--model", json.dumps(model), "--constant", "3",
                         "--depth", depth], tmp_path)
         assert code == 2
@@ -402,13 +412,26 @@ class TestMalformedInput:
         assert repr(field) in err and len(err.splitlines()) == 1
         assert not (tmp_path / "verdict.json").exists()
 
+    @pytest.mark.parametrize("command,output", [
+        (["sample", "--model", json.dumps(MAJORITY_MODEL), "--depth", "4", "--samples", "5"], "samples.csv"),
+        (["measure", "--model", json.dumps(MAJORITY_MODEL), "--depth", "4", "--samples", "500"], "report.json"),
+        (["arith", "--mode", "exact", "--model", json.dumps(MAJORITY_MODEL), "--constant", "3",
+          "--depth", "4"], "arith.json"),
+        (["arith", "--mode", "sample", "--model", json.dumps(MAJORITY_MODEL), "--constant", "3",
+          "--depth", "4", "--samples", "5"], "arith.json"),
+        (["experiment", "units", "--preset", "biased-x3"], "verdict.json"),
+    ])
     @pytest.mark.parametrize("threads", ["0", "-3"])
-    def test_threads_below_one_exits_2(self, tmp_path, capsys, threads):
-        code = run_cli(["sample", "--model", json.dumps(MAJORITY_MODEL), "--depth", "4",
-                        "--samples", "5", "--seed", "1", "--threads", threads], tmp_path)
+    def test_threads_below_one_exits_2(self, tmp_path, capsys, monkeypatch, command, output, threads):
+        def no_work(*args, **kwargs):
+            raise AssertionError("read the model before --threads was checked")
+
+        monkeypatch.setattr(fiq.cli, "model_from_json", no_work)
+        monkeypatch.setattr(fiq.cli, "preset_spec", no_work)
+        code = run_cli([*command, "--seed", "1", "--threads", threads], tmp_path)
         assert code == 2
-        assert f"threads must be >= 1, got {threads}" in capsys.readouterr().err
-        assert not (tmp_path / "samples.csv").exists()
+        assert capsys.readouterr().err == f"fiq: error: --threads must be >= 1, got {threads}\n"
+        assert not (tmp_path / output).exists()
 
     @pytest.mark.parametrize("blocks", ["0", "-3"])
     def test_blocks_below_one_exits_2_before_sampling(self, tmp_path, capsys, monkeypatch, blocks):

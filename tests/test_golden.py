@@ -41,6 +41,8 @@ COMMANDS = {
     "arith-exact": ["arith", "--model", BIASED, "--constant", "1143/1250", "--depth", "10"],
     "arith-exact-biased-x3": ["arith", "--mode", "exact", "--model", BIASED_X3, "--constant", "3",
                               "--depth", "12"],
+    "arith-exact-majority-k3": ["arith", "--mode", "exact", "--model", MAJORITY_K3, "--constant", "3",
+                                "--depth", "12"],
     "arith-sample": ["arith", "--mode", "sample", "--model", MAJORITY_K3, "--constant", "3",
                      "--depth", "10", "--samples", "20000"],
     "measure": ["measure", "--model", MAJORITY_K3, "--depth", "8", "--samples", "5000",

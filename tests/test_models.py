@@ -465,3 +465,42 @@ class TestExactWindowJoint:
             f = ((s.bits[:, 0] == outcome[0]) & (s.bits[:, 1] == outcome[1])).mean()
             pf = float(p)
             assert abs(f - pf) <= 3 * math.sqrt(pf * (1 - pf) / s.n_samples)
+
+
+class TestPrefixWeights:
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("bias", [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)])
+    @pytest.mark.parametrize("depth", range(1, 7))
+    def test_majority_matches_source_enumeration(self, k, bias, depth):
+        # every configuration of source bits 1 .. d + k - 1, weighted a^ones (b-a)^zeros
+        a, b = bias.numerator, bias.denominator
+        span = depth + k - 1
+        oracle = [0] * (1 << depth)
+        for config in itertools.product((0, 1), repeat=span):
+            ones = sum(config)
+            value = int("".join(str(majority(config[j:j + k])) for j in range(depth)), 2)
+            oracle[value] += a ** ones * (b - a) ** (span - ones)
+        weights, denominator = MajorityVoteModel(k=k, source=fair_source(), bias=bias).prefix_weights(depth)
+        assert weights == oracle and all(type(w) is int for w in weights)
+        assert denominator == b ** span == sum(weights)
+        # every one- and two-bit marginal of the prefix law is the window joint at those positions
+        for positions in [*itertools.combinations(range(1, depth + 1), 1),
+                          *itertools.combinations(range(1, depth + 1), 2)]:
+            marginal = dict.fromkeys(itertools.product((0, 1), repeat=len(positions)), Fraction(0))
+            for value, w in enumerate(weights):
+                marginal[tuple((value >> (depth - p)) & 1 for p in positions)] += Fraction(w, denominator)
+            assert marginal == exact_window_joint(k, bias, positions)
+
+    @pytest.mark.parametrize("prefix,tail,depth", [
+        ([], TailPolicy.HALF, 3),
+        (["3/4", "1/3", "0", "1"], TailPolicy.HALF, 6),
+        (["2/5", "1"], TailPolicy.UNSPECIFIED, 2),
+    ])
+    def test_independent_weights_are_propensity_products(self, prefix, tail, depth):
+        pv = PropensityVector(prefix, tail)
+        weights, denominator = IndependentBitsModel(pv=pv, source=fair_source()).prefix_weights(depth)
+        for value, bits in enumerate(itertools.product((0, 1), repeat=depth)):
+            product = math.prod(pv.propensity_at(j + 1) if bit else 1 - pv.propensity_at(j + 1)
+                                for j, bit in enumerate(bits))
+            assert Fraction(weights[value], denominator) == product
+        assert sum(weights) == denominator

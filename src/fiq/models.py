@@ -130,8 +130,8 @@ class MajorityVoteModel:
         return depth + self.k - 1 if depth else 0
 
     def prefix_weights(self, depth: int) -> tuple[list[int], int]:
-        # the window joint at offsets 1 .. d; its state keys list bit 1 first, so product order is big-endian
-        states, denominator = _window_states(self.k, self.bias, range(1, depth + 1))
+        # the window joint at offsets 1 .. d, or the empty prefix at d = 0; keys list bit 1 first: big-endian
+        states, denominator = _window_states(self.k, self.bias, range(1, depth + 1)) if depth else ({(): 1}, 1)
         return [states.get(bits, 0) for bits in itertools.product((0, 1), repeat=depth)], denominator
 
     def to_json(self) -> dict:

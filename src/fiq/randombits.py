@@ -26,9 +26,8 @@ _GAMMA = 0x9E3779B97F4A7C15
 _STREAM_GAMMA = 0xD1B54A32D192ED03
 
 
-def _mix_arr(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer, elementwise on a copy of ``x`` as uint64."""
-    x = x.astype(np.uint64, copy=True)
+def _mix(x: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer, elementwise and in place on a uint64 array; returns ``x``."""
     x ^= x >> np.uint64(30)
     x *= np.uint64(0xBF58476D1CE4E5B9)
     x ^= x >> np.uint64(27)
@@ -44,11 +43,12 @@ def bias_threshold(bias: Fraction) -> int:
 
 
 def uniform64_grid(seed: int, stream_ids: np.ndarray, first: int, count: int) -> np.ndarray:
-    """64-bit uniforms for every (stream, index) pair; shape (len(streams), count)."""
-    keys = _mix_arr(_mix_arr(np.full(1, seed, dtype=np.uint64))[0]
-                    + stream_ids.astype(np.uint64) * np.uint64(_STREAM_GAMMA))
-    idx = np.arange(first, first + count, dtype=np.uint64) * np.uint64(_GAMMA)
-    return _mix_arr(keys[:, None] + idx[None, :])
+    """64-bit uniforms for every (stream, index) pair; shape (len(streams), count).
+
+    Built and mixed stream-minor, as a C-contiguous (count, len(streams)) array; the result is its transposed view.
+    """
+    keys = _mix(_mix(np.full(1, seed, dtype=np.uint64))[0] + stream_ids.astype(np.uint64) * np.uint64(_STREAM_GAMMA))
+    return _mix(np.arange(first, first + count, dtype=np.uint64)[:, None] * np.uint64(_GAMMA) + keys).T
 
 
 def threshold_bits(u: np.ndarray, propensities: Sequence[Fraction]) -> np.ndarray:

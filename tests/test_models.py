@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fiq.models
+from fiq.arithmetic import scale_fiq_truncated
 from fiq.errors import DepthBeyondKnowledgeError, EnumerationBoundError
 from fiq.jsonfields import json_float, json_int, json_rational
 from fiq.models import (
@@ -504,3 +505,11 @@ class TestPrefixWeights:
                                 for j, bit in enumerate(bits))
             assert Fraction(weights[value], denominator) == product
         assert sum(weights) == denominator
+
+    def test_depth_zero_is_the_empty_prefix(self):
+        models = [MajorityVoteModel(k=3, source=fair_source(), bias=Fraction(1, 3)),
+                  IndependentBitsModel(pv=PropensityVector(["1/5"], TailPolicy.UNSPECIFIED), source=fair_source())]
+        assert [model.prefix_weights(0) for model in models] == [([1], 1)] * 2
+        # so the truncated digit law at depth 0 is the same one-entry law for both models
+        laws = [scale_fiq_truncated(model, Fraction(3), 0) for model in models]
+        assert laws[0] == laws[1] and len(laws[0][0]) == 1

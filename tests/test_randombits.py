@@ -1,15 +1,71 @@
 import math
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from fiq.randombits import RandomBitSource, bias_threshold, threshold_bits
+from fiq.models import IndependentBitsModel, MajorityVoteModel, sample_matrix
+from fiq.propensity import PropensityVector, TailPolicy
+from fiq.randombits import RandomBitSource, bias_threshold, threshold_bits, uniform64_grid
+
+MASK = (1 << 64) - 1
+TOP = 1 << 64
 
 
 def one_stream(src, first, count):
     """Uniforms u(first) .. u(first+count-1) of the source's own stream."""
     return src.uniforms(np.array([src.stream_id], dtype=np.uint64), first, count)[0]
+
+
+def splitmix64(z):
+    """Reference splitmix64 finalizer on a Python int mod 2^64."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
+    return z ^ (z >> 31)
+
+
+def oracle_uniform(seed, stream_id, n):
+    """Reference uniform n of stream (seed, stream_id): the finalizer of the stream key plus n Weyl steps."""
+    key = splitmix64((splitmix64(seed) + stream_id * 0xD1B54A32D192ED03) & MASK)
+    return splitmix64((key + n * 0x9E3779B97F4A7C15) & MASK)
+
+
+class ContiguousSource(RandomBitSource):
+    """The same uniforms, handed out as a C-contiguous copy of the grid."""
+
+    def uniforms(self, stream_ids, first, count):
+        return np.ascontiguousarray(super().uniforms(stream_ids, first, count))
+
+
+class TestKnownAnswers:
+    @pytest.mark.parametrize("seed", [0, 1, TOP - 1])
+    @pytest.mark.parametrize("stream_ids", [[0, TOP - 1, 1], [TOP - 2, TOP - 1, 0]])  # key additions wrap
+    @pytest.mark.parametrize("first", [1, 1 << 40])
+    def test_grid_matches_integer_oracle(self, seed, stream_ids, first):
+        u = uniform64_grid(seed, np.array(stream_ids, dtype=np.uint64), first, 17)
+        assert u.dtype == np.uint64 and u.shape == (3, 17)
+        assert u.tolist() == [[oracle_uniform(seed, sid, first + j) for j in range(17)] for sid in stream_ids]
+
+    @pytest.mark.parametrize("seed,base", [(2, 1), (TOP - 1, TOP - 4681)])
+    def test_sampling_chunk_matches_integer_oracle(self, seed, base):
+        # one 4681 x 14 chunk of k=3, d=12 majority sampling; its transposed view is the C-contiguous grid
+        u = uniform64_grid(seed, np.arange(base, base + 4681, dtype=np.uint64), 1, 14)
+        assert u.shape == (4681, 14) and u.T.flags.c_contiguous
+        for i in [*range(0, 4681, 97), 4680]:
+            assert u[i, ::3].tolist() == [oracle_uniform(seed, base + i, n) for n in range(1, 15, 3)]
+
+    @pytest.mark.parametrize("model", [
+        MajorityVoteModel(k=3, source=RandomBitSource(seed=2, stream_id=5)),
+        MajorityVoteModel(k=5, source=RandomBitSource(seed=2), bias=Fraction(1, 3)),
+        IndependentBitsModel(pv=PropensityVector(["3/4", "1/3", "1"], TailPolicy.HALF), source=RandomBitSource(seed=2)),
+    ])
+    def test_sampling_ignores_the_grid_layout(self, model):
+        streams = np.arange(7, 7 + 300, dtype=np.uint64)
+        contiguous = replace(model, source=ContiguousSource(**asdict(model.source)))
+        assert np.array_equal(model.sample(streams, 9), contiguous.sample(streams, 9))
+        bits = sample_matrix(model, 9, 300).bits
+        assert bits.flags.c_contiguous and np.array_equal(bits, sample_matrix(contiguous, 9, 300).bits)
 
 
 class TestRandomBitSource:

@@ -23,7 +23,7 @@ EXACT_ENUMERATION_MAX_DEPTH = 20
 
 DIGIT_PAIR_POSITIONS = (1, 2, 3, 4)
 
-_ASCII_BITS = bytes.maketrans(b"01", b"\x00\x01")  # "0"/"1" characters to bit values
+DigitEntry = tuple[int, int] | None  # a ``scaled_digit_table`` entry: None or (cell, n)
 
 
 @dataclass(frozen=True)
@@ -116,20 +116,24 @@ def digits_of_rational(z: Fraction, n_frac: int) -> tuple[int, tuple[int, ...]]:
     return int_part, tuple(bits)
 
 
-def scaled_digit_table(c: Fraction, depth: int) -> list[DeterminedDigits]:
+def scaled_digit_table(c: Fraction, depth: int) -> list[DigitEntry]:
     """Determined digits of c * [v/2^d, (v+1)/2^d) for every prefix value v.
 
-    Integer form of ``determined_digits(scale_by_constant(...))``, which stays
-    as the reference.  With c = p/q, s = bitlen(q) + 2 and N = d + s, the
-    scaled interval meets the cells [k 2^-N, (k + 1) 2^-N) for k = L .. H,
-    where (the 2^d cancels)
+    Entry v is None when the integer part is not determined, else ``(cell,
+    n)``: the n determined fraction digits follow the integer part in
+    ``cell = integer_part * 2^n + digits``, so the scaled interval lies in
+    [cell, cell + 1) / 2^n.  Integer form of ``determined_digits(
+    scale_by_constant(...))``, which stays as the reference.  With c = p/q,
+    s = bitlen(q) + 2 and N = d + s, the scaled interval meets the cells
+    [k 2^-N, (k + 1) 2^-N) for k = L .. H, where (the 2^d cancels)
 
         L = floor(v p 2^s / q),    H = floor(((v + 1) p 2^s - 1) / q).
 
     A digit is determined iff L and H agree on it and on every digit before
     it: the integer part iff L >> N == H >> N, and then the first
-    N - bitlen(L xor H) fraction digits.  N is enough because the interval
-    spans p 2^s / q > 4 cells, so fewer than N digits are ever determined.
+    N - bitlen(L xor H) fraction digits, so cell = L >> bitlen(L xor H).
+    N is enough because the interval spans p 2^s / q > 4 cells, so fewer
+    than N digits are ever determined.
     """
     c = Fraction(c)
     if c <= 0:
@@ -143,26 +147,18 @@ def scaled_digit_table(c: Fraction, depth: int) -> list[DeterminedDigits]:
     p, q = c.numerator, c.denominator
     spare = q.bit_length() + 2
     n_bits = depth + spare
-    sentinel = 1 << n_bits  # keeps the leading zeros of the fraction digits in bin()
     step = p << spare
-    undetermined = DeterminedDigits(integer_part=None, fraction_bits=())
     table = []
     upper = 0  # (v p 2^s) for the current v
     for _ in range(1 << depth):
         low = upper // q
         upper += step
-        high = (upper - 1) // q
-        integer_part = low >> n_bits
-        if integer_part != high >> n_bits:
-            table.append(undetermined)
-            continue
-        n = n_bits - (low ^ high).bit_length()
-        digits = bin(low & (sentinel - 1) | sentinel)[3:n + 3].encode()
-        table.append(DeterminedDigits(integer_part, tuple(digits.translate(_ASCII_BITS))))
+        varied = (low ^ ((upper - 1) // q)).bit_length()  # L xor H: the digits past the determined ones
+        table.append((low >> varied, n_bits - varied) if varied <= n_bits else None)
     return table
 
 
-def digit_law(table: Sequence[DeterminedDigits], weights: Iterable) -> dict:
+def digit_law(table: Sequence[DigitEntry], weights: Iterable) -> dict:
     """Total weight of each entry of a ``scaled_digit_table``.
 
     ``weights[v]`` weighs prefix value v: an exact Fraction or a Python-int
@@ -170,27 +166,32 @@ def digit_law(table: Sequence[DeterminedDigits], weights: Iterable) -> dict:
     first prefix value.
     """
     law: dict = {}
-    for dd, w in zip(table, weights, strict=True):
+    for entry, w in zip(table, weights, strict=True):
         if w:
-            law[dd] = law.get(dd, 0) + w
+            law[entry] = law.get(entry, 0) + w
     return law
 
 
-def leading_digits(table: Iterable[DeterminedDigits], weights: Iterable) -> dict[tuple[int, ...], object]:
+def leading_digits(table: Iterable[DigitEntry], weights: Iterable) -> dict[tuple[int, ...], object]:
     """Total weight of each entry's determined fraction digits, cut after the last pair position.
 
     Reads (entry, weight) pairs: a ``scaled_digit_table`` with one weight per
     prefix value, or a ``digit_law``'s keys and values.  Zero weights and
     entries with an undetermined integer part are left out, so the result may
-    total less than the weights.  Keys keep the order of their first entry.
+    total less than the weights.  Keys are bit tuples, in the order of their
+    first entry.
     """
     last = max(DIGIT_PAIR_POSITIONS)
     leading: dict = {}
-    for dd, w in zip(table, weights, strict=True):
-        if w and dd.integer_part is not None:
-            key = dd.fraction_bits[:last]
+    for entry, w in zip(table, weights, strict=True):
+        if w and entry is not None:
+            cell, n = entry
+            if n > last:
+                cell >>= n - last
+                n = last
+            key = cell & ((1 << n) - 1) | 1 << n  # the digits behind a leading 1, which keeps their count
             leading[key] = leading.get(key, 0) + w
-    return leading
+    return {tuple(map(int, bin(key)[3:])): w for key, w in leading.items()}
 
 
 def digit_pair_joints(leading: Mapping[tuple[int, ...], object], denominator: int | None = None) -> dict:
@@ -213,7 +214,7 @@ def digit_pair_joints(leading: Mapping[tuple[int, ...], object], denominator: in
     return joints
 
 
-def scale_fiq_truncated(model: FiqModel, c: Fraction, depth: int) -> tuple[list[DeterminedDigits], list[int], int]:
+def scale_fiq_truncated(model: FiqModel, c: Fraction, depth: int) -> tuple[list[DigitEntry], list[int], int]:
     """Exact law of the determined digits of c * Q at depth d: ``(table, weights, denominator)``.
 
     ``scaled_digit_table(c, depth)``, checking the depth bound before any weight is built, then

@@ -160,14 +160,14 @@ def cmd_arith(args) -> int:
         s = sample_matrix(model, args.depth, args.samples, threads=args.threads)
         weights, total = prefix_counts(s), args.samples
 
-    entries = [
-        {
-            "int": dd.integer_part,
-            "frac": "".join(str(b) for b in dd.fraction_bits),
+    entries = []
+    for entry, w in digit_law(table, weights).items():
+        cell, n = entry or (0, 0)  # an undetermined entry has no digits
+        entries.append({
+            "int": None if entry is None else cell >> n,
+            "frac": bin(cell & ((1 << n) - 1) | 1 << n)[3:],  # the n digits, leading zeros kept
             "prob": format_rational(Fraction(w, total)) if args.mode == "exact" else w / total,
-        }
-        for dd, w in digit_law(table, weights).items()
-    ]
+        })
     entries.sort(key=lambda e: (e["int"] is None, e["int"], e["frac"]))
     doc = {
         "config": {

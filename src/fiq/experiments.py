@@ -394,13 +394,9 @@ def run_units_on_majority(spec: ExperimentSpec) -> ExperimentVerdict:
     p, q = c.numerator, c.denominator
     sound = True
     for v, count in enumerate(counts):
-        dd = table[v]
-        if not count or dd.integer_part is None:
+        if not count or table[v] is None:
             continue
-        n = len(dd.fraction_bits)
-        cell = dd.integer_part
-        for bit in dd.fraction_bits:
-            cell = 2 * cell + bit
+        cell, n = table[v]
         if not ((cell * q) << spec.depth <= (p * v) << n
                 and (p * (v + 1)) << n <= ((cell + 1) * q) << spec.depth):
             sound = False

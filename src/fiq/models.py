@@ -130,6 +130,7 @@ class MajorityVoteModel:
         return depth + self.k - 1 if depth else 0
 
     def prefix_weights(self, depth: int) -> tuple[list[int], int]:
+        _check_nonnegative(depth)
         # the window joint at offsets 1 .. d, or the empty prefix at d = 0; keys list bit 1 first: big-endian
         states, denominator = _window_states(self.k, self.bias, range(1, depth + 1)) if depth else ({(): 1}, 1)
         return [states.get(bits, 0) for bits in itertools.product((0, 1), repeat=depth)], denominator
@@ -163,6 +164,7 @@ class IndependentBitsModel:
 
     def prefix_weights(self, depth: int) -> tuple[list[int], int]:
         """Products of the propensities; half tails weight the positions beyond the prefix by 1/2 each."""
+        _check_nonnegative(depth)
         pv = self.pv
         if pv.tail is TailPolicy.UNSPECIFIED and depth > pv.prefix_length:
             raise DepthBeyondKnowledgeError(

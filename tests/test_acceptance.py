@@ -24,7 +24,6 @@ from fiq.arithmetic import (
     scale_by_constant,
     determined_digits,
     scale_fiq_truncated,
-    scaled_digit_table,
 )
 from fiq.estimators import (
     correlated_info_from_dist,
@@ -187,7 +186,10 @@ def test_criterion_5_change_of_units_critique():
         assert max(mi_from_joint(j) for j in joints.values()) > 0.0
 
         s = sample_matrix(model, depth, n)
-        table = scaled_digit_table(Fraction(3), depth)
+        # per-prefix digits from the Fraction reference, not from the kernel under test
+        table = [determined_digits(scale_by_constant(prefix_to_interval(BitPrefix(tuple(
+                     (v >> (depth - 1 - i)) & 1 for i in range(depth)))), Fraction(3)))
+                 for v in range(1 << depth)]
         counts = np.bincount(prefix_values(s), minlength=1 << depth)
         for (i, j), exact_joint in joints.items():
             emp = {}

@@ -153,6 +153,14 @@ class TestSoundness:
 
 
 
+def as_digits(entry):
+    """A ``scaled_digit_table`` entry, None or ``(cell, n)``, as the reference's ``DeterminedDigits``."""
+    if entry is None:
+        return DeterminedDigits(None, ())
+    cell, n = entry
+    return DeterminedDigits(cell >> n, tuple((cell >> (n - 1 - i)) & 1 for i in range(n)))
+
+
 def reference_table(c, depth):
     """``scaled_digit_table`` through the Fraction reference, one prefix at a time."""
     return [
@@ -175,12 +183,12 @@ class TestScaledDigitTable:
     @given(c=POSITIVE_CONSTANTS, depth=st.integers(min_value=0, max_value=10))
     @settings(max_examples=100, deadline=None)
     def test_matches_fraction_reference(self, c, depth):
-        assert scaled_digit_table(c, depth) == reference_table(c, depth)
+        assert list(map(as_digits, scaled_digit_table(c, depth))) == reference_table(c, depth)
 
     def test_matches_fraction_reference_exhaustively(self):
         for c in CONSTANTS:
             for depth in range(11):
-                assert scaled_digit_table(c, depth) == reference_table(c, depth), (c, depth)
+                assert list(map(as_digits, scaled_digit_table(c, depth))) == reference_table(c, depth), (c, depth)
 
     def test_depth_bound(self):
         with pytest.raises(EnumerationBoundError):
@@ -194,7 +202,8 @@ class TestScaledDigitTable:
 def reference_joint(law, positions):
     """Joint weight of the fraction digits at ``positions``, one pass over the law per joint."""
     joint = {}
-    for dd, w in law.items():
+    for entry, w in law.items():
+        dd = as_digits(entry)
         if dd.integer_part is None or len(dd.fraction_bits) < max(positions):
             continue
         key = tuple(dd.fraction_bits[p - 1] for p in positions)
@@ -213,7 +222,7 @@ JOINT_CASES = [
 def exact_law(model, c, depth):
     """The exact law as one reduced Fraction per ``digit_law`` entry."""
     table, weights, denominator = scale_fiq_truncated(model, c, depth)
-    return {dd: Fraction(w, denominator) for dd, w in digit_law(table, weights).items()}
+    return {entry: Fraction(w, denominator) for entry, w in digit_law(table, weights).items()}
 
 
 def exact_and_count_laws(prefix, c):
@@ -242,10 +251,10 @@ class TestDigitPairJoints:
 
     def test_leading_digits_cuts_after_the_last_position(self):
         law = {
-            DeterminedDigits(0, (1, 0, 1, 1, 0)): 3,
-            DeterminedDigits(None, ()): 5,
-            DeterminedDigits(2, (1, 0, 1, 1)): 4,
-            DeterminedDigits(1, (0,)): 1,
+            (0b10110, 5): 3,       # int 0, digits 10110
+            None: 5,               # undetermined
+            (0b10_1011, 4): 4,     # int 2, digits 1011
+            (0b1_0, 1): 1,         # int 1, digit 0
         }
         assert list(leading_digits(law, law.values()).items()) == [((1, 0, 1, 1), 7), ((0,), 1)]
 
@@ -253,20 +262,21 @@ class TestDigitPairJoints:
 def reference_fraction_law(model, c, depth):
     """The exact law with one Fraction product weight per prefix value, summed per table entry."""
     law = {}
-    for v, dd in enumerate(scaled_digit_table(c, depth)):
+    for v, entry in enumerate(scaled_digit_table(c, depth)):
         w = Fraction(1)
         for position in range(1, depth + 1):
             q = model.pv.propensity_at(position)
             w *= q if (v >> (depth - position)) & 1 else 1 - q
         if w:
-            law[dd] = law.get(dd, 0) + w
+            law[entry] = law.get(entry, 0) + w
     return law
 
 
 def reference_leading_digits(law):
     """Leading-digit histogram of a law, one entry at a time (the pipeline before integer weights)."""
     leading = {}
-    for dd, w in law.items():
+    for entry, w in law.items():
+        dd = as_digits(entry)
         if dd.integer_part is not None:
             key = dd.fraction_bits[:max(DIGIT_PAIR_POSITIONS)]
             leading[key] = leading.get(key, 0) + w
@@ -316,7 +326,7 @@ class TestIntegerJointsOracle:
         assert code == 0
         expected_entries = sorted(
             ({"int": dd.integer_part, "frac": "".join(map(str, dd.fraction_bits)), "prob": format_rational(w)}
-             for dd, w in reference.items()),
+             for dd, w in ((as_digits(entry), w) for entry, w in reference.items())),
             key=lambda e: (e["int"] is None, e["int"], e["frac"]))
         assert entries == expected_entries
 
@@ -348,14 +358,14 @@ class TestDigitsOfRational:
 class TestScaleFiqTruncated:
     def test_determined_shift(self):
         dist = exact_law(model_of([1]), Fraction(1, 2), 1)
-        assert dist == {DeterminedDigits(0, (0, 1)): Fraction(1)}
+        assert dist == {(0b0_01, 2): Fraction(1)}  # int 0, digits 01
 
     def test_uniform_times_three(self):
         dist = exact_law(model_of([]), Fraction(3), 2)
         assert dist == {
-            DeterminedDigits(0, ()): Fraction(1, 4),     # [0, 3/4)
-            DeterminedDigits(None, ()): Fraction(1, 2),  # spans 1 or 2
-            DeterminedDigits(2, ()): Fraction(1, 4),     # [9/4, 3)
+            (0, 0): Fraction(1, 4),  # [0, 3/4): int 0, no fraction digit
+            None: Fraction(1, 2),    # spans 1 or 2
+            (2, 0): Fraction(1, 4),  # [9/4, 3): int 2, no fraction digit
         }
 
     def test_biased_weights(self):
@@ -373,7 +383,7 @@ class TestScaleFiqTruncated:
             dd = determined_digits(
                 scale_by_constant(PartialNumber(v, v + step), Fraction(3)))
             expected[dd] = expected.get(dd, Fraction(0)) + w
-        assert dist == expected
+        assert {as_digits(entry): w for entry, w in dist.items()} == expected
 
     def test_depth_bound(self):
         with pytest.raises(EnumerationBoundError):

@@ -7,7 +7,7 @@ import pytest
 
 import fiq.arithmetic
 import fiq.experiments
-from fiq.arithmetic import DeterminedDigits, prefix_counts
+from fiq.arithmetic import prefix_counts
 from fiq.errors import EnumerationBoundError
 from fiq.experiments import (
     PRESETS,
@@ -187,11 +187,11 @@ class TestUnitsOnMajority:
 
 
     @pytest.mark.parametrize("corrupt", [
-        lambda dd: DeterminedDigits(dd.integer_part, dd.fraction_bits[:-1] + (1 - dd.fraction_bits[-1],)),
-        lambda dd: DeterminedDigits(dd.integer_part + 1, dd.fraction_bits),
+        lambda cell, n: (cell ^ 1, n),           # the last fraction digit flipped
+        lambda cell, n: (cell + (1 << n), n),    # the integer part one higher
         # one digit more than the interval determines: either value is wrong
-        lambda dd: DeterminedDigits(dd.integer_part, dd.fraction_bits + (0,)),
-        lambda dd: DeterminedDigits(dd.integer_part, dd.fraction_bits + (1,)),
+        lambda cell, n: (2 * cell, n + 1),
+        lambda cell, n: (2 * cell + 1, n + 1),
     ])
     def test_soundness_claim_fails_on_one_wrong_digit(self, monkeypatch, corrupt):
         spec = replace(preset_spec("units-majority", "k3-x3", seed=1), samples=2000, depth=6)
@@ -199,12 +199,11 @@ class TestUnitsOnMajority:
         counts = prefix_counts(sample_matrix(spec.model, spec.depth, spec.samples))
         real = fiq.experiments.scaled_digit_table
         table = real(spec.constant, spec.depth)
-        v = next(v for v, dd in enumerate(table)
-                 if counts[v] and dd.integer_part is not None and dd.fraction_bits)
+        v = next(v for v, entry in enumerate(table) if counts[v] and entry is not None and entry[1])
 
         def one_wrong_entry(c, depth):
             wrong = real(c, depth)
-            wrong[v] = corrupt(wrong[v])
+            wrong[v] = corrupt(*wrong[v])
             return wrong
 
         monkeypatch.setattr(fiq.experiments, "scaled_digit_table", one_wrong_entry)

@@ -31,6 +31,7 @@ EDGE_PROPENSITIES = json.dumps({"type": "independent",
                                 "pv": {"prefix": ["1", "0", "1/3", "3/4"], "tail": "half"}})
 MAJORITY_K5_THIRD = json.dumps({"type": "majority", "k": 5, "bias": "1/3"})
 BIASED_X3 = json.dumps({"type": "independent", "pv": {"prefix": ["3/4", "3/4"], "tail": "half"}})
+UNIFORM = json.dumps({"type": "independent", "pv": {"prefix": [], "tail": "half"}})
 
 COMMANDS = {
     "units-biased-x3": ["experiment", "units", "--preset", "biased-x3"],
@@ -43,6 +44,12 @@ COMMANDS = {
                               "--depth", "12"],
     "arith-exact-majority-k3": ["arith", "--mode", "exact", "--model", MAJORITY_K3, "--constant", "3",
                                 "--depth", "12"],
+    # integer-part-only entries (int 0 and int 2, no fraction digit) and an undetermined one
+    "arith-exact-uniform-x3": ["arith", "--mode", "exact", "--model", UNIFORM, "--constant", "3",
+                               "--depth", "2"],
+    # fraction digits with leading zeros ("00", "000", "01")
+    "arith-exact-uniform-yards": ["arith", "--mode", "exact", "--model", UNIFORM, "--constant", "1143/1250",
+                                  "--depth", "3"],
     "arith-sample": ["arith", "--mode", "sample", "--model", MAJORITY_K3, "--constant", "3",
                      "--depth", "10", "--samples", "20000"],
     "measure": ["measure", "--model", MAJORITY_K3, "--depth", "8", "--samples", "5000",

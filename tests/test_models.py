@@ -513,3 +513,11 @@ class TestPrefixWeights:
         # so the truncated digit law at depth 0 is the same one-entry law for both models
         laws = [scale_fiq_truncated(model, Fraction(3), 0) for model in models]
         assert laws[0] == laws[1] and len(laws[0][0]) == 1
+
+    @pytest.mark.parametrize("model", [
+        MajorityVoteModel(k=3, source=fair_source()),
+        IndependentBitsModel(pv=PropensityVector([], TailPolicy.HALF), source=fair_source()),
+    ], ids=["majority", "independent"])
+    def test_negative_depth_is_rejected(self, model):
+        with pytest.raises(ValueError, match="depth must be >= 0"):
+            model.prefix_weights(-1)

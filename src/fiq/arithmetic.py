@@ -17,9 +17,14 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import EnumerationBoundError
-from .models import BitPrefix, FiqModel, SampleMatrix, window_codes
-
-EXACT_ENUMERATION_MAX_DEPTH = 20
+from .models import (
+    EXACT_ENUMERATION_MAX_DEPTH,  # the depth bound of every table, importable from here too
+    BitPrefix,
+    FiqModel,
+    SampleMatrix,
+    check_enumeration_depth,
+    window_codes,
+)
 
 DIGIT_PAIR_POSITIONS = (1, 2, 3, 4)
 
@@ -138,12 +143,7 @@ def scaled_digit_table(c: Fraction, depth: int) -> list[DigitEntry]:
     c = Fraction(c)
     if c <= 0:
         raise ValueError(f"scaling constant must be positive, got {c}")
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
-    if depth > EXACT_ENUMERATION_MAX_DEPTH:
-        raise EnumerationBoundError(
-            f"depth {depth} exceeds exact enumeration bound {EXACT_ENUMERATION_MAX_DEPTH}"
-        )
+    check_enumeration_depth(depth)
     p, q = c.numerator, c.denominator
     spare = q.bit_length() + 2
     n_bits = depth + spare

@@ -144,7 +144,7 @@ def cmd_measure(args) -> int:
 
 
 def cmd_arith(args) -> int:
-    _check_at_least_one(args, "depth", "threads")
+    _check_at_least_one(args, "depth", "threads", *(["samples"] if args.mode == "sample" else []))
     model = model_from_json(
         _load_model_doc(args.model),
         seed=args.seed if args.seed is not None else 0,
@@ -156,7 +156,6 @@ def cmd_arith(args) -> int:
         if args.seed is None:
             raise FiqError("--seed is required in sample mode")
         table = scaled_digit_table(args.constant, args.depth)  # checks the depth bound before sampling
-        _check_at_least_one(args, "samples")
         s = sample_matrix(model, args.depth, args.samples, threads=args.threads)
         weights, total = prefix_counts(s), args.samples
 

@@ -157,23 +157,33 @@ def _is_power_of_two(c: Fraction) -> bool:
     return n & (n - 1) == 0 and d & (d - 1) == 0
 
 
-def _cell_agreement_z(
-    exact_joint: Mapping[tuple[int, int], Fraction],
-    count_joint: Mapping[tuple[int, int], int],
-    n_total: int,
-) -> tuple[float, bool]:
-    """Largest binomial z-score across cells; exact-zero cells must be empty."""
-    worst = 0.0
-    ok = True
-    for cell in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        p = float(exact_joint.get(cell, Fraction(0)))
-        f = count_joint.get(cell, 0) / n_total
+_BIT_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def _z_claim(statement: str, cells, n: int, sigma: float, exact_value: float | None = None) -> Claim:
+    """The largest binomial z of count/n against its exact probability over a family of cells, at most sigma.
+
+    ``cells`` holds (exact probability, count) pairs.  A cell of exact
+    probability 0 or 1 has no z-score: its count must match exactly, or the
+    claim fails whatever the z.
+    """
+    worst, exact_ok = 0.0, True
+    for p, count in cells:
+        p, f = float(p), count / n
         if p == 0.0 or p == 1.0:
-            if f != p:
-                ok = False
-            continue
-        worst = max(worst, abs(f - p) / math.sqrt(p * (1.0 - p) / n_total))
-    return worst, ok
+            exact_ok = exact_ok and f == p
+        else:
+            worst = max(worst, abs(f - p) / math.sqrt(p * (1.0 - p) / n))
+    return Claim(statement, passed=exact_ok and worst <= sigma,
+                 exact_value=exact_value, estimate=worst, threshold=sigma)
+
+
+def _mi_claim(statement: str, mi: float, n: int, above: bool,
+              exact_value: float | None = None, exact_ok: bool = True) -> Claim:
+    """An empirical MI above the noise floor 3/(2N ln 2), or at most it; ``exact_ok`` False fails it."""
+    floor = mi_noise_floor(n)
+    return Claim(statement, passed=exact_ok and (mi > floor if above else mi <= floor),
+                 exact_value=exact_value, estimate=mi, threshold=floor)
 
 
 def run_units_critique(spec: ExperimentSpec) -> ExperimentVerdict:
@@ -209,37 +219,21 @@ def run_units_critique(spec: ExperimentSpec) -> ExperimentVerdict:
     sample = sample_matrix(model, spec.depth, spec.samples, threads=spec.threads)
     count_joints = digit_pair_joints(leading_digits(table, prefix_counts(sample)))
 
-    worst_z = 0.0
-    cells_ok = True
-    for pair, exact_joint in exact_joints.items():
-        z, ok = _cell_agreement_z(exact_joint, count_joints[pair], spec.samples)
-        worst_z = max(worst_z, z)
-        cells_ok = cells_ok and ok
-    claims.append(Claim(
-        statement="Monte Carlo digit-pair cells agree with the exact joint",
-        passed=cells_ok and worst_z <= spec.sigma,
-        estimate=worst_z,
-        threshold=spec.sigma,
+    claims.append(_z_claim(
+        "Monte Carlo digit-pair cells agree with the exact joint",
+        [(exact.get(cell, 0), count_joints[pair].get(cell, 0))
+         for pair, exact in exact_joints.items() for cell in _BIT_PAIRS],
+        spec.samples, spec.sigma,
     ))
 
-    floor = mi_noise_floor(spec.samples)
     emp_mi = {pair: mi_from_joint(j) for pair, j in count_joints.items()}
     if expect_correlation:
         target = max(exact_mi, key=lambda p: exact_mi[p])
-        claims.append(Claim(
-            statement=f"empirical MI of pair {target} exceeds the noise floor",
-            passed=emp_mi[target] > floor,
-            exact_value=exact_mi[target],
-            estimate=emp_mi[target],
-            threshold=floor,
-        ))
+        claims.append(_mi_claim(f"empirical MI of pair {target} exceeds the noise floor",
+                                emp_mi[target], spec.samples, above=True, exact_value=exact_mi[target]))
     else:
-        claims.append(Claim(
-            statement="empirical thresholded MI is zero for every designated pair (control)",
-            passed=all(v <= floor for v in emp_mi.values()),
-            estimate=max(emp_mi.values()),
-            threshold=floor,
-        ))
+        claims.append(_mi_claim("empirical thresholded MI is zero for every designated pair (control)",
+                                max(emp_mi.values()), spec.samples, above=False))
 
     tables = {
         "digit_pair_mi": [
@@ -296,33 +290,23 @@ def run_majority_study(spec: ExperimentSpec) -> ExperimentVerdict:
 
     # (i) every marginal matches the exact window probability
     p1 = float(exact_window_joint(k, bias, [1])[(1,)])
-    freqs = sample.pair_counts.diagonal() / n
-    z_marg = max(abs(float(f) - p1) / math.sqrt(p1 * (1 - p1) / n) for f in freqs)
-    claims.append(Claim(
-        statement="every bit marginal matches the exact window probability",
-        passed=z_marg <= spec.sigma,
-        exact_value=p1,
-        estimate=z_marg,
-        threshold=spec.sigma,
-    ))
+    ones = sample.pair_counts.diagonal().tolist()
+    claims.append(_z_claim("every bit marginal matches the exact window probability",
+                           [(p1, count) for count in ones], n, spec.sigma, exact_value=p1))
 
     # (ii) adjacent-bit joint matches the exact enumeration
     adj_exact = exact_window_joint(k, bias, [1, 2])
-    adj_mi_exact = mi_from_joint(adj_exact)
     adj_counts = pairwise_joint_counts(sample, 0, 1)
-    z_adj, cells_ok = _cell_agreement_z(adj_exact, adj_counts, n)
     adj_mi_emp = mi_from_joint(adj_counts)
-    floor = mi_noise_floor(n)
-    if k == 1:
-        passed = joint_is_independent(adj_exact) and adj_mi_emp <= floor
-        statement = "k=1 degenerates to i.i.d.: adjacent bits independent"
-    else:
-        passed = cells_ok and z_adj <= spec.sigma and adj_mi_emp > floor
-        statement = "adjacent-bit joint matches the exact enumeration (correlated)"
+    cells = _z_claim("", [(adj_exact[cell], adj_counts[cell]) for cell in _BIT_PAIRS], n, spec.sigma)
+    # correlated (k > 1): the cells agree and the MI clears the floor; i.i.d. (k = 1): exact and
+    # empirical independence.  The claim keeps the MI estimate and the sigma threshold.
+    mi = _mi_claim("", adj_mi_emp, n, above=k > 1, exact_ok=k > 1 or joint_is_independent(adj_exact))
     claims.append(Claim(
-        statement=statement,
-        passed=passed,
-        exact_value=adj_mi_exact,
+        statement="adjacent-bit joint matches the exact enumeration (correlated)" if k > 1 else
+        "k=1 degenerates to i.i.d.: adjacent bits independent",
+        passed=mi.passed and (cells.passed or k == 1),
+        exact_value=mi_from_joint(adj_exact),
         estimate=adj_mi_emp,
         threshold=spec.sigma,
     ))
@@ -330,14 +314,9 @@ def run_majority_study(spec: ExperimentSpec) -> ExperimentVerdict:
     # (iii) bits at distance >= k are exactly and empirically independent
     if spec.depth > k + 1:
         far_exact = exact_window_joint(k, bias, [1, 1 + k])
-        far_mi = mi_from_joint(pairwise_joint_counts(sample, 0, k))
-        claims.append(Claim(
-            statement=f"bits at distance {k} are independent (disjoint windows)",
-            passed=joint_is_independent(far_exact) and far_mi <= floor,
-            exact_value=0.0,
-            estimate=far_mi,
-            threshold=floor,
-        ))
+        claims.append(_mi_claim(f"bits at distance {k} are independent (disjoint windows)",
+                                mi_from_joint(pairwise_joint_counts(sample, 0, k)), n, above=False,
+                                exact_value=0.0, exact_ok=joint_is_independent(far_exact)))
 
     # (iv) finite generating-bit count at every depth, against instrumentation
     count_ok = True
@@ -358,8 +337,8 @@ def run_majority_study(spec: ExperimentSpec) -> ExperimentVerdict:
 
     tables = {
         "marginals": [
-            {"position": i + 1, "frequency": float(f), "exact": p1}
-            for i, f in enumerate(freqs)
+            {"position": i + 1, "frequency": count / n, "exact": p1}
+            for i, count in enumerate(ones)
         ],
         "adjacent_joint": [
             {"cell": f"{a}{b}", "exact": float(adj_exact[(a, b)]), "count": adj_counts[(a, b)]}

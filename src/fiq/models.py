@@ -33,6 +33,7 @@ from .randombits import RandomBitSource, threshold_bits
 from .rational import format_rational
 
 ENUMERATION_BIT_BOUND = 24
+EXACT_ENUMERATION_MAX_DEPTH = 20
 MAX_BLOCK_LENGTH = 16  # longest block whose window counts are read
 SAMPLE_CHUNK_BITS = 1 << 16  # source bits per sample_matrix chunk; 2^17 and up measured slower
 CODE_LIMB_BITS = 24  # window_codes' float32 product is exact below 2^24
@@ -82,7 +83,10 @@ class FiqModel(Protocol):
         """Number of source bits that determine the first ``depth`` model bits."""
 
     def prefix_weights(self, depth: int) -> tuple[list[int], int]:
-        """Exact law of the first ``depth`` bits: integer weight of each big-endian prefix value, and their sum."""
+        """Exact law of the first ``depth`` bits: integer weight of each big-endian prefix value, and their sum.
+
+        Raises EnumerationBoundError past EXACT_ENUMERATION_MAX_DEPTH, before any weight is built.
+        """
 
     def to_json(self) -> dict:
         """JSON form that ``model_from_json`` reads back."""
@@ -91,6 +95,13 @@ class FiqModel(Protocol):
 def _check_nonnegative(depth: int) -> None:
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
+
+
+def check_enumeration_depth(depth: int) -> None:
+    """Reject a depth below 0 or past EXACT_ENUMERATION_MAX_DEPTH before 2^depth prefix values are built."""
+    _check_nonnegative(depth)
+    if depth > EXACT_ENUMERATION_MAX_DEPTH:
+        raise EnumerationBoundError(f"depth {depth} exceeds exact enumeration bound {EXACT_ENUMERATION_MAX_DEPTH}")
 
 
 @dataclass(frozen=True)
@@ -130,7 +141,7 @@ class MajorityVoteModel:
         return depth + self.k - 1 if depth else 0
 
     def prefix_weights(self, depth: int) -> tuple[list[int], int]:
-        _check_nonnegative(depth)
+        check_enumeration_depth(depth)
         # the window joint at offsets 1 .. d, or the empty prefix at d = 0; keys list bit 1 first: big-endian
         states, denominator = _window_states(self.k, self.bias, range(1, depth + 1)) if depth else ({(): 1}, 1)
         return [states.get(bits, 0) for bits in itertools.product((0, 1), repeat=depth)], denominator
@@ -164,7 +175,7 @@ class IndependentBitsModel:
 
     def prefix_weights(self, depth: int) -> tuple[list[int], int]:
         """Products of the propensities; half tails weight the positions beyond the prefix by 1/2 each."""
-        _check_nonnegative(depth)
+        check_enumeration_depth(depth)
         pv = self.pv
         if pv.tail is TailPolicy.UNSPECIFIED and depth > pv.prefix_length:
             raise DepthBeyondKnowledgeError(

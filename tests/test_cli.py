@@ -468,6 +468,19 @@ class TestMalformedInput:
         assert capsys.readouterr().err == f"fiq: error: {message}\n"
         assert not (tmp_path / output).exists()
 
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_arith_sample_checks_samples_before_any_work(self, tmp_path, capsys, monkeypatch, samples):
+        def no_work(*args, **kwargs):
+            raise AssertionError("built the digit table before --samples was checked")
+
+        monkeypatch.setattr(fiq.cli, "scaled_digit_table", no_work)
+        monkeypatch.setattr(fiq.cli, "model_from_json", no_work)
+        code = run_cli(["arith", "--mode", "sample", "--model", json.dumps(MAJORITY_MODEL), "--constant", "3",
+                        "--depth", "20", "--samples", samples, "--seed", "1"], tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err == f"fiq: error: --samples must be >= 1, got {samples}\n"
+        assert not (tmp_path / "arith.json").exists()
+
     def test_measure_too_few_samples_for_mi_exits_2_before_sampling(self, tmp_path, capsys, monkeypatch):
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before --samples was checked against the MI minimum")

@@ -3,8 +3,9 @@
 Every output file is compared with ``golden_seed1.json``: ``samples.csv`` and
 ``arith.json`` by sha256, JSON documents and CSV tables parsed, with floats
 equal to a relative 1e-12.  The reference is written by running this file as
-a script (``PYTHONPATH=src python tests/test_golden.py``); re-record it only
-for an output change that is intended and noted in CHANGES.md.
+a script (``PYTHONPATH=src python tests/test_golden.py``), which keeps every
+recorded entry that still matches and writes only new or changed ones; re-record
+it only for an output change that is intended and noted in CHANGES.md.
 """
 
 import contextlib
@@ -126,8 +127,30 @@ def test_outputs_match_golden(tmp_path):
         assert not problems, "\n".join(problems[:10])
 
 
+def merge_recorded(recorded: dict, got: dict) -> tuple[dict, list[str]]:
+    """Every command's recorded entry where it still matches within REL, else its new one; and those labels.
+
+    Entries of commands no longer run are dropped, so a re-recording churns only what changed.
+    """
+    changed = [label for label in got if label not in recorded or _mismatches(recorded[label], got[label])]
+    return {label: got[label] if label in changed else recorded[label] for label in got}, changed
+
+
+def test_merge_keeps_entries_that_still_match():
+    recorded = {"same": {"v": 1.0}, "close": {"v": 0.14887610087317427}, "moved": {"v": 2.0},
+                "gone": {"v": 3.0}}
+    got = {"same": {"v": 1.0}, "close": {"v": 0.14887610087317382}, "moved": {"v": 2.5},
+           "new": {"v": 4.0}}
+    merged, changed = merge_recorded(recorded, got)
+    assert merged == {"same": {"v": 1.0}, "close": {"v": 0.14887610087317427}, "moved": {"v": 2.5},
+                      "new": {"v": 4.0}}
+    assert changed == ["moved", "new"]
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         digests = run_commands(Path(tmp))
-    GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN}")
+    recorded = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    merged, changed = merge_recorded(recorded, digests)
+    GOLDEN.write_text(json.dumps(merged, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN}; new or changed: {', '.join(changed) or 'none'}")

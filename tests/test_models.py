@@ -521,3 +521,17 @@ class TestPrefixWeights:
     def test_negative_depth_is_rejected(self, model):
         with pytest.raises(ValueError, match="depth must be >= 0"):
             model.prefix_weights(-1)
+
+    @pytest.mark.parametrize("model", [
+        MajorityVoteModel(k=3, source=fair_source()),
+        IndependentBitsModel(pv=PropensityVector(["3/4"], TailPolicy.HALF), source=fair_source()),
+    ], ids=["majority", "independent"])
+    @pytest.mark.parametrize("depth", [21, 40])
+    def test_depth_past_enumeration_bound_is_rejected_before_building(self, monkeypatch, model, depth):
+        def no_work(*args, **kwargs):
+            raise AssertionError("built prefix weights before the depth bound was checked")
+
+        monkeypatch.setattr(fiq.models, "_window_states", no_work)
+        monkeypatch.setattr(PropensityVector, "propensity_at", no_work)
+        with pytest.raises(EnumerationBoundError, match=f"^depth {depth} exceeds exact enumeration bound 20$"):
+            model.prefix_weights(depth)

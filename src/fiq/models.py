@@ -15,7 +15,6 @@ overlap structure is unchanged by this re-indexing.
 
 from __future__ import annotations
 
-import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -83,9 +82,9 @@ class FiqModel(Protocol):
         """Number of source bits that determine the first ``depth`` model bits."""
 
     def prefix_weights(self, depth: int) -> tuple[list[int], int]:
-        """Exact law of the first ``depth`` bits: integer weight of each big-endian prefix value, and their sum.
+        """Exact law of the first ``depth`` bits: Python-int weight of each big-endian prefix value, and their sum.
 
-        Raises EnumerationBoundError past EXACT_ENUMERATION_MAX_DEPTH, before any weight is built.
+        Depth 0 is ([1], 1).  Past EXACT_ENUMERATION_MAX_DEPTH, raises EnumerationBoundError before any weight.
         """
 
     def to_json(self) -> dict:
@@ -142,9 +141,10 @@ class MajorityVoteModel:
 
     def prefix_weights(self, depth: int) -> tuple[list[int], int]:
         check_enumeration_depth(depth)
-        # the window joint at offsets 1 .. d, or the empty prefix at d = 0; keys list bit 1 first: big-endian
-        states, denominator = _window_states(self.k, self.bias, range(1, depth + 1)) if depth else ({(): 1}, 1)
-        return [states.get(bits, 0) for bits in itertools.product((0, 1), repeat=depth)], denominator
+        if not depth:
+            return [1], 1  # the empty prefix
+        weights, denominator = _window_states(self.k, self.bias, range(1, depth + 1))
+        return weights.reshape(-1).tolist(), denominator  # bit 1 is the first axis: big-endian
 
     def to_json(self) -> dict:
         return {
@@ -341,52 +341,52 @@ def enumeration_span(k: int, offsets: Sequence[int]) -> int:
     return span
 
 
-def _window_states(k: int, bias: Fraction, offsets: Sequence[int]) -> tuple[dict[tuple[int, ...], int], int]:
-    """Integer weight of every reachable outcome of the majority bits at ``offsets``, and b^span.
+def _window_states(k: int, bias: Fraction, offsets: Sequence[int]) -> tuple[np.ndarray, int]:
+    """Integer weight of every outcome of the majority bits at ``offsets``, and b^span.
 
-    The span of source bits (max(offsets) - min(offsets) + k, at most
-    ENUMERATION_BIT_BOUND) is cut at every window start and end.  A segment
-    of n bits holding j ones weighs C(n, j) a^j (b - a)^(n - j) for bias a/b,
-    and each state (every window's ones so far, or its majority bit once the
-    window has ended) carries an integer weight.  Outcomes of zero weight
-    are absent.
+    ``weights[outcome]`` is the outcome's weight over b^span, in a Python-int
+    array with a length-2 axis per offset, in the caller's order.  The span of
+    source bits (at most ENUMERATION_BIT_BOUND) is cut at every window start
+    and end; a segment of n bits holding j ones weighs C(n, j) a^j (b - a)^(n - j)
+    for bias a/b.  Windows open and end in sorted offset order.  A state is the
+    ones counted so far in each open window, oldest first, and holds the weights
+    of the majority bits of the windows already ended, big-endian.
     """
     if k < 1 or k % 2 == 0:
         raise ValueError(f"window length k must be an odd positive integer, got {k}")
     if not offsets:
         raise ValueError("offsets must be non-empty")
-    bias = as_propensity(bias)
-    rel = [o - min(offsets) for o in offsets]
-    span = enumeration_span(k, rel)
+    order = sorted(range(len(offsets)), key=offsets.__getitem__)
+    starts = [offsets[i] - offsets[order[0]] for i in order]
+    span = enumeration_span(k, starts)
 
-    a, b = bias.numerator, bias.denominator
-    cuts = sorted({*rel, *(o + k for o in rel)})
-    states = {(0,) * len(rel): 1}
+    a, b = as_propensity(bias).as_integer_ratio()
+    cuts = sorted({*starts, *(s + k for s in starts)})
+    states = {(): np.ones(1, dtype=object)}
     for lo, hi in zip(cuts, cuts[1:]):
-        n = hi - lo
-        roles = [(o <= lo < o + k, o + k == hi) for o in rel]  # (counting, ending)
+        n, fresh, ending = hi - lo, starts.count(lo), starts.count(hi - k)
         # ones counts of zero weight (bias 0 or 1) are dropped, not carried as states
         segment = [(j, w) for j in range(n + 1) if (w := comb(n, j) * a ** j * (b - a) ** (n - j))]
-        after: dict[tuple[int, ...], int] = {}
-        for state, weight in states.items():
+        after: dict[tuple[int, ...], np.ndarray] = {}
+        for counts, weights in states.items():
             for j, w in segment:
-                key = tuple(
-                    (int(2 * (c + j) > k) if ending else c + j) if counting else c
-                    for c, (counting, ending) in zip(state, roles)
-                )
-                after[key] = after.get(key, 0) + weight * w
+                counted = [c + j for c in counts] + [j] * fresh
+                code = sum(int(2 * c > k) << (ending - 1 - i) for i, c in enumerate(counted[:ending]))
+                key = tuple(counted[ending:])
+                if key not in after:
+                    after[key] = np.zeros(len(weights) << ending, dtype=object)
+                after[key][code::1 << ending] += weights * w
         states = after
-    return states, b ** span
+    return states[()].reshape((2,) * len(offsets)).transpose(np.argsort(order)), b ** span
 
 
 def exact_window_joint(k: int, bias: Fraction, offsets: Sequence[int]) -> dict[tuple[int, ...], Fraction]:
     """Exact joint law of the majority-vote bits at ``offsets``: the ``_window_states`` weights over b^span.
 
-    Every outcome is a key, zero cells included, in increasing order of sum outcome[i] 2^i.
+    Every outcome is a key, zero cells included, in increasing order of sum outcome[i] 2^i (reversed axes, C order).
     """
-    states, denominator = _window_states(k, bias, offsets)
-    outcomes = (tuple((code >> i) & 1 for i in range(len(offsets))) for code in range(1 << len(offsets)))
-    return {outcome: Fraction(states.get(outcome, 0), denominator) for outcome in outcomes}
+    weights, denominator = _window_states(k, bias, offsets)
+    return {index[::-1]: Fraction(w, denominator) for index, w in np.ndenumerate(weights.T)}
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,8 @@ COMMANDS = {
                               "--depth", "12"],
     "arith-exact-majority-k3": ["arith", "--mode", "exact", "--model", MAJORITY_K3, "--constant", "3",
                                 "--depth", "12"],
+    "arith-exact-majority-k5-third": ["arith", "--mode", "exact", "--model", MAJORITY_K5_THIRD,
+                                      "--constant", "1143/1250", "--depth", "10"],
     # integer-part-only entries (int 0 and int 2, no fraction digit) and an undetermined one
     "arith-exact-uniform-x3": ["arith", "--mode", "exact", "--model", UNIFORM, "--constant", "3",
                                "--depth", "2"],

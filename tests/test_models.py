@@ -54,6 +54,19 @@ def oracle_rows(model, depth, n):
     return rows
 
 
+def window_joint_oracle(k, bias, offsets):
+    """Reference ``exact_window_joint``: every source configuration over the span, weighted a^ones (b-a)^zeros."""
+    a, b = bias.numerator, bias.denominator
+    low = min(offsets)
+    span = max(offsets) - low + k
+    oracle = {o: Fraction(0) for o in itertools.product((0, 1), repeat=len(offsets))}
+    for config in itertools.product((0, 1), repeat=span):
+        ones = sum(config)
+        outcome = tuple(majority(config[o - low:o - low + k]) for o in offsets)
+        oracle[outcome] += Fraction(a ** ones * (b - a) ** (span - ones), b ** span)
+    return oracle
+
+
 class TestMajority:
     @pytest.mark.parametrize("window,expected", [
         ((1, 1, 0), 1),
@@ -444,19 +457,19 @@ class TestExactWindowJoint:
     @pytest.mark.parametrize("offsets", [[1], [2, 1], [3, 3], [4, 1, 2], [5, 2, 5, 1], [6, 3],
                                          [9, 1], [1, 2, 3, 4, 5, 6]])
     def test_matches_enumeration_oracle(self, k, bias, offsets):
-        # every source configuration over the span, weighted a^ones (b-a)^zeros / b^span
-        a, b = bias.numerator, bias.denominator
-        low = min(offsets)
-        span = max(offsets) - low + k
-        oracle = {o: Fraction(0) for o in itertools.product((0, 1), repeat=len(offsets))}
-        for config in itertools.product((0, 1), repeat=span):
-            ones = sum(config)
-            outcome = tuple(majority(config[o - low:o - low + k]) for o in offsets)
-            oracle[outcome] += Fraction(a ** ones * (b - a) ** (span - ones), b ** span)
         joint = exact_window_joint(k, bias, offsets)
-        assert joint == oracle
+        assert joint == window_joint_oracle(k, bias, offsets)
         # keys in code order (outcome[0] is the low bit): mi_from_joint sums floats in key order
         assert list(joint) == [o[::-1] for o in itertools.product((0, 1), repeat=len(offsets))]
+
+    @pytest.mark.parametrize("offsets", [[2, 1], [1, 1, 3]])
+    def test_weights_past_int64_stay_exact(self, offsets):
+        # b^span = 3^(40 span) is far past 2^63: an int64 or float kernel would overflow or round
+        bias = Fraction(1, 3 ** 40)
+        weights, denominator = fiq.models._window_states(3, bias, offsets)
+        assert denominator == 3 ** (40 * (max(offsets) - min(offsets) + 3)) > 2 ** 63
+        assert weights.shape == (2,) * len(offsets) and all(type(w) is int for w in weights.flat)
+        assert exact_window_joint(3, bias, offsets) == window_joint_oracle(3, bias, offsets)
 
     def test_block_distribution_matches_sampling(self):
         dist = exact_window_joint(3, Fraction(1, 2), range(1, 3))
@@ -510,6 +523,7 @@ class TestPrefixWeights:
         models = [MajorityVoteModel(k=3, source=fair_source(), bias=Fraction(1, 3)),
                   IndependentBitsModel(pv=PropensityVector(["1/5"], TailPolicy.UNSPECIFIED), source=fair_source())]
         assert [model.prefix_weights(0) for model in models] == [([1], 1)] * 2
+        assert all(type(w) is int for model in models for w in model.prefix_weights(0)[0])
         # so the truncated digit law at depth 0 is the same one-entry law for both models
         laws = [scale_fiq_truncated(model, Fraction(3), 0) for model in models]
         assert laws[0] == laws[1] and len(laws[0][0]) == 1

@@ -16,9 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import EnumerationBoundError
 from .models import (
-    EXACT_ENUMERATION_MAX_DEPTH,  # the depth bound of every table, importable from here too
     BitPrefix,
     FiqModel,
     SampleMatrix,
@@ -226,11 +224,9 @@ def scale_fiq_truncated(model: FiqModel, c: Fraction, depth: int) -> tuple[list[
 
 
 def prefix_values(sample: SampleMatrix) -> np.ndarray:
-    """Int64 value sum bits_j 2^(d-j) of every row (so depth <= 63); usable as a table index."""
-    d = sample.depth
-    if d > 63:
-        raise EnumerationBoundError(f"depth {d} exceeds the int64 prefix-value bound 63")
-    return next(window_codes(sample.bits, d))
+    """Int64 value sum bits_j 2^(d-j) of every row, an index into a 2^d table: d is bounded like every table."""
+    check_enumeration_depth(sample.depth)
+    return next(window_codes(sample.bits, sample.depth))
 
 
 def prefix_counts(sample: SampleMatrix) -> list[int]:

@@ -158,9 +158,10 @@ def cmd_arith(args) -> int:
         table = scaled_digit_table(args.constant, args.depth)  # checks the depth bound before sampling
         s = sample_matrix(model, args.depth, args.samples, threads=args.threads)
         weights, total = prefix_counts(s), args.samples
-
+    law = digit_law(table, weights)
+    del table, weights  # 2^depth entries each: not held while the entries and JSON text are built
     entries = []
-    for entry, w in digit_law(table, weights).items():
+    for entry, w in law.items():
         cell, n = entry or (0, 0)  # an undetermined entry has no digits
         entries.append({
             "int": None if entry is None else cell >> n,
@@ -243,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_arith)
 
     p = sub.add_parser("experiment", help="run a canned experiment and emit a verdict")
-    p.add_argument("kind", choices=("units", "majority", "units-majority"))
+    p.add_argument("kind", choices=tuple(RUNNERS))
     p.add_argument("--preset", default=None)
     p.add_argument("--spec", default=None, help="experiment spec JSON file")
     p.add_argument("--seed", type=_seed_arg, required=True)

@@ -35,7 +35,6 @@ ENUMERATION_BIT_BOUND = 24
 EXACT_ENUMERATION_MAX_DEPTH = 20
 MAX_BLOCK_LENGTH = 16  # longest block whose window counts are read
 SAMPLE_CHUNK_BITS = 1 << 16  # source bits per sample_matrix chunk; 2^17 and up measured slower
-CODE_LIMB_BITS = 24  # window_codes' float32 product is exact below 2^24
 
 
 @dataclass(frozen=True)
@@ -271,23 +270,18 @@ def window_codes(bits: np.ndarray, length: int) -> Iterator[np.ndarray]:
     2^(length - 1 - m).  It is the same vector every time, overwritten in
     place with the next window, so a caller that keeps one must copy it.
 
-    The first window is one float32 product per row chunk, with a column per
-    24-bit limb (exact below 2^24), joined by int64 shifts.  Each later one
+    The first window is one float32 product per row chunk; each later one
     rolls the vector: drop the leaving bit, shift, add the next column.
+    Length is at most EXACT_ENUMERATION_MAX_DEPTH: every code indexes a 2^length table.
     """
     n, depth = bits.shape
-    if not 1 <= length <= min(depth, 63):
-        raise ValueError(f"window length {length} is not in 1 .. min(depth {depth}, 63)")
-    limb, place = np.divmod(np.arange(length - 1, -1, -1), CODE_LIMB_BITS)  # of each column's bit
-    weights = np.zeros((length, limb[0] + 1), dtype=np.float32)
-    weights[np.arange(length), limb] = np.exp2(place)
-    shifts = CODE_LIMB_BITS * np.arange(limb[0] + 1, dtype=np.int64)
+    if not 1 <= length <= min(depth, EXACT_ENUMERATION_MAX_DEPTH):
+        raise ValueError(f"window length {length} is not in 1 .. min(depth {depth}, {EXACT_ENUMERATION_MAX_DEPTH})")
+    weights = np.exp2(np.arange(length - 1, -1, -1, dtype=np.float32))
     code = np.empty(n, dtype=np.int64)
     rows = max(1, SAMPLE_CHUNK_BITS // length)
-    for start in range(0, n, rows):
-        limbs = (bits[start:start + rows, :length].astype(np.float32) @ weights).astype(np.int64)
-        limbs <<= shifts
-        limbs.sum(axis=1, out=code[start:start + rows])
+    for start in range(0, n, rows):  # float32 sums below 2^24 are exact, and no code exceeds 20 bits
+        code[start:start + rows] = bits[start:start + rows, :length].astype(np.float32) @ weights
     yield code
     for t in range(length, depth):
         code &= (1 << (length - 1)) - 1

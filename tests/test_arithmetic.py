@@ -402,10 +402,14 @@ class TestScaleFiqTruncated:
 
 
 class TestPrefixValues:
-    def test_values_fit_in_int64(self):
-        ones = np.ones((1, 64), dtype=np.uint8)
-        top = prefix_values(SampleMatrix(ones[:, :63], stationary=False))
-        assert top.tolist() == [(1 << 63) - 1]
-        # at depth 64 a leading 1 would wrap to -2^63
+    def test_values_stop_at_the_table_bound(self):
+        ones = np.ones((1, 21), dtype=np.uint8)
+        top = prefix_values(SampleMatrix(ones[:, :20], stationary=False))
+        assert top.tolist() == [(1 << 20) - 1]
         with pytest.raises(EnumerationBoundError):
             prefix_values(SampleMatrix(ones, stationary=False))
+
+    def test_prefix_counts_checks_the_bound_before_allocating(self):
+        # past the bound a count list would hold 2^depth bins
+        with pytest.raises(EnumerationBoundError):
+            prefix_counts(SampleMatrix(np.ones((1, 21), dtype=np.uint8), stationary=False))

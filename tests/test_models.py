@@ -13,6 +13,7 @@ from fiq.arithmetic import scale_fiq_truncated
 from fiq.errors import DepthBeyondKnowledgeError, EnumerationBoundError
 from fiq.jsonfields import json_float, json_int, json_rational
 from fiq.models import (
+    EXACT_ENUMERATION_MAX_DEPTH,
     BitPrefix,
     IndependentBitsModel,
     MajorityVoteModel,
@@ -209,7 +210,7 @@ def cumsum_majority_bits(r, k):
     return (csum[:, k:] - csum[:, :-k] > k // 2).astype(np.uint8)
 
 
-LIMB_EDGE_LENGTHS = (1, 23, 24, 25, 47, 48, 49, 63)  # window_codes' float32 limbs hold 24 bits
+WINDOW_LENGTHS = range(1, EXACT_ENUMERATION_MAX_DEPTH + 1)  # every length window_codes accepts
 
 
 class TestWindowCodes:
@@ -218,8 +219,8 @@ class TestWindowCodes:
            chunk_bits=st.sampled_from([1, 64, 1000, 1 << 16]))
     @settings(max_examples=150, derandomize=True, deadline=None)
     def test_matches_rolling_reference(self, data, n, depth, density, seed, chunk_bits):
-        lengths = [L for L in LIMB_EDGE_LENGTHS if L <= depth]
-        length = data.draw(st.sampled_from(lengths) | st.integers(1, min(depth, 63)))
+        longest = min(depth, EXACT_ENUMERATION_MAX_DEPTH)
+        length = data.draw(st.sampled_from([1, longest]) | st.integers(1, longest))
         bits = (np.random.default_rng(seed).random((n, depth)) < density).astype(np.uint8)
         with pytest.MonkeyPatch.context() as mp:  # chunks of SAMPLE_CHUNK_BITS // length rows
             mp.setattr(fiq.models, "SAMPLE_CHUNK_BITS", chunk_bits)
@@ -231,8 +232,8 @@ class TestWindowCodes:
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("depth", [63, 64, 130])
-    @pytest.mark.parametrize("length", LIMB_EDGE_LENGTHS)
-    def test_limb_edges_all_ones_and_random(self, depth, length):
+    @pytest.mark.parametrize("length", WINDOW_LENGTHS)
+    def test_every_length_all_ones_zeros_and_random(self, depth, length):
         rng = np.random.default_rng(depth * 64 + length)
         bits = np.vstack([np.ones((1, depth), dtype=np.uint8), np.zeros((1, depth), dtype=np.uint8),
                           (rng.random((3001, depth)) < 0.5).astype(np.uint8)])
@@ -257,13 +258,15 @@ class TestWindowCodes:
             assert codes.dtype == np.int64
             assert codes.tolist() == slow_window_codes(bits, length)
 
-    def test_all_ones_depth_63(self):
-        ones = np.ones((1, 63), dtype=np.uint8)
-        assert next(window_codes(ones, 63)).tolist() == [(1 << 63) - 1]
-        assert [next(window_codes(ones, 63)).tolist()] == slow_window_codes(ones, 63)
+    def test_all_ones_at_the_table_bound(self):
+        # a float32 sum is exact below 2^24: this fails if the bound is raised past 24 bits
+        L = EXACT_ENUMERATION_MAX_DEPTH
+        ones = np.ones((1, L), dtype=np.uint8)
+        assert next(window_codes(ones, L)).tolist() == [(1 << L) - 1]
+        assert [next(window_codes(ones, L)).tolist()] == slow_window_codes(ones, L)
 
-    @pytest.mark.parametrize("length,depth", [(0, 4), (5, 4), (64, 64)])
-    def test_rejects_lengths_outside_depth_and_int64(self, length, depth):
+    @pytest.mark.parametrize("length,depth", [(0, 4), (5, 4), (21, 21), (21, 64), (63, 63), (64, 64)])
+    def test_rejects_lengths_outside_depth_and_table_bound(self, length, depth):
         with pytest.raises(ValueError, match="window length"):
             next(window_codes(np.zeros((2, depth), dtype=np.uint8), length))
 

@@ -208,7 +208,7 @@ class SampleMatrix:
     written after they are read.
     """
 
-    bits: np.ndarray  # (N, d) uint8
+    bits: np.ndarray  # (N, d) uint8 in any layout; sample_matrix's is column-major: the view of a (d, N) C array
     stationary: bool
     _windows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -303,10 +303,10 @@ def sample_matrix(model: FiqModel, depth: int, n_samples: int, threads: int = 1)
     """N realizations on streams stream_id .. stream_id+N-1, one per row.
 
     Every stream id must fit in 64 bits.  Rows are drawn in chunks of at most
-    SAMPLE_CHUNK_BITS source bits and written in place into the result, so
-    peak memory is the result plus a fixed amount.  Output is identical for
-    any thread count, since rows are pure functions of their stream id.  At
-    most ``os.cpu_count()`` worker threads run.
+    SAMPLE_CHUNK_BITS source bits and written in place into the column-major
+    result, so peak memory is the result plus a fixed amount.  Output is
+    identical for any thread count, since rows are pure functions of their
+    stream id.  At most ``os.cpu_count()`` workers run; one runs in the caller's thread, with no pool.
     """
     if depth < 1 or n_samples < 1:
         raise ValueError("depth and n_samples must be >= 1")
@@ -315,16 +315,23 @@ def sample_matrix(model: FiqModel, depth: int, n_samples: int, threads: int = 1)
     base = model.source.stream_id
     if base + n_samples > 1 << 64:
         raise ValueError(f"streams {base} .. {base + n_samples - 1} do not fit in 64 bits")
-    bits = np.empty((n_samples, depth), dtype=np.uint8)
+    columns = np.empty((depth, n_samples), dtype=np.uint8)
     rows = max(1, SAMPLE_CHUNK_BITS // model.generating_bits(depth))
+    starts = range(0, n_samples, rows)
+    workers = min(threads, os.cpu_count() or 1)
 
     def fill(start: int) -> None:
         stop = min(start + rows, n_samples)
-        bits[start:stop] = model.sample(np.arange(base + start, base + stop, dtype=np.uint64), depth)
+        # the stream-minor bit source makes each chunk's transpose C-contiguous: depth runs copy in whole
+        columns[:, start:stop] = model.sample(np.arange(base + start, base + stop, dtype=np.uint64), depth).T
 
-    with ThreadPoolExecutor(max_workers=min(threads, os.cpu_count() or 1)) as pool:
-        list(pool.map(fill, range(0, n_samples, rows)))
-    return SampleMatrix(bits=bits, stationary=model.stationary)
+    if workers == 1:
+        for start in starts:
+            fill(start)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(fill, starts))
+    return SampleMatrix(bits=columns.T, stationary=model.stationary)
 
 
 def enumeration_span(k: int, offsets: Sequence[int]) -> int:

@@ -5,12 +5,14 @@ import os
 import random
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 
 import fiq.cli
 import fiq.experiments
+import fiq.models
 from fiq.cli import main
 from fiq.models import exact_window_joint, model_from_json, sample_matrix
 from fiq.rational import format_rational, parse_rational
@@ -133,6 +135,29 @@ class TestMeasure:
         a = (tmp_path / "a/report.json").read_bytes()
         assert a == (tmp_path / "b/report.json").read_bytes()
         assert a == (tmp_path / "c/report.json").read_bytes()
+
+
+class TestThreadsAcrossChunks:
+    @pytest.mark.parametrize("command,output", [
+        (["sample", "--model", json.dumps(MIXED_MODEL)], "samples.csv"),
+        (["arith", "--mode", "sample", "--model", json.dumps(MAJORITY_MODEL), "--constant", "3"], "arith.json"),
+    ], ids=["sample", "arith"])
+    def test_one_and_two_threads_write_the_same_bytes(self, tmp_path, monkeypatch, command, output):
+        pools = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(fiq.models, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(fiq.models, "SAMPLE_CHUNK_BITS", 64)  # 5 or 7 rows per chunk: 1001 rows in many chunks
+        for threads in ("1", "2"):
+            args = [*command, "--depth", "9", "--samples", "1001", "--seed", "4", "--threads", threads]
+            assert run_cli(args, tmp_path / threads) == 0
+        assert pools == [2]  # one thread ran inline, two ran in a pool
+        assert (tmp_path / "1" / output).read_bytes() == (tmp_path / "2" / output).read_bytes()
 
 
 class TestArith:

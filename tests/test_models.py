@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fiq.models
-from fiq.arithmetic import scale_fiq_truncated
+from fiq.arithmetic import prefix_counts, scale_fiq_truncated
 from fiq.errors import DepthBeyondKnowledgeError, EnumerationBoundError
 from fiq.jsonfields import json_float, json_int, json_rational
 from fiq.models import (
@@ -17,6 +17,7 @@ from fiq.models import (
     BitPrefix,
     IndependentBitsModel,
     MajorityVoteModel,
+    SampleMatrix,
     exact_window_joint,
     model_from_json,
     sample_matrix,
@@ -361,6 +362,37 @@ class TestSampleMatrix:
         assert pools == [3]
         assert np.array_equal(capped.bits, sample_matrix(model, 12, 503, threads=1).bits)
 
+    @pytest.mark.parametrize("threads,cpus", [(1, 8), (4, 1)])
+    def test_one_worker_runs_without_a_pool(self, monkeypatch, threads, cpus):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("one worker built a thread pool")
+
+        monkeypatch.setattr(fiq.models, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        model = MajorityVoteModel(k=3, source=fair_source(seed=8, stream=2))
+        # seven rows per chunk, so 503 rows end in a partial chunk
+        monkeypatch.setattr(fiq.models, "SAMPLE_CHUNK_BITS", 7 * model.generating_bits(12) + 1)
+        got = sample_matrix(model, 12, 503, threads=threads).bits
+        assert np.array_equal(got, model.sample(np.arange(2, 2 + 503, dtype=np.uint64), 12))
+
+    @pytest.mark.parametrize("threads,cpus", [(1, 8), (4, 1), (2, 2)], ids=["inline", "inline-capped", "pool"])
+    def test_sampling_error_reaches_the_caller_unchanged(self, monkeypatch, threads, cpus):
+        error = ValueError("chunk failed")
+        sample = MajorityVoteModel.sample
+
+        def failing_sample(self, stream_ids, depth):
+            if stream_ids[0] >= 20:  # the first chunks succeed
+                raise error
+            return sample(self, stream_ids, depth)
+
+        monkeypatch.setattr(MajorityVoteModel, "sample", failing_sample)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        model = MajorityVoteModel(k=3, source=fair_source())
+        monkeypatch.setattr(fiq.models, "SAMPLE_CHUNK_BITS", 10 * model.generating_bits(4))
+        with pytest.raises(ValueError) as raised:
+            sample_matrix(model, 4, 50, threads=threads)
+        assert raised.value is error
+
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("model", [
         MajorityVoteModel(k=3, source=fair_source(seed=8)),
@@ -407,6 +439,28 @@ class TestSampleMatrix:
         ind = IndependentBitsModel(pv=PropensityVector([]), source=fair_source())
         assert sample_matrix(maj, 4, 10).stationary
         assert not sample_matrix(ind, 4, 10).stationary
+
+
+class TestReadersIgnoreLayout:
+    @pytest.mark.parametrize("stationary", [True, False])
+    @pytest.mark.parametrize("n", [2, 1003])
+    def test_c_and_column_major_bits_read_the_same(self, monkeypatch, stationary, n):
+        depth = 14
+        # five rows per pair_counts chunk and per length-14 window_codes chunk: 1003 rows end in partial chunks
+        monkeypatch.setattr(fiq.models, "SAMPLE_CHUNK_BITS", 5 * depth + 3)
+        columns = sample_matrix(MajorityVoteModel(k=3, source=fair_source(seed=21)), depth, n).bits
+        rows = np.ascontiguousarray(columns)
+        assert columns.T.flags.c_contiguous and rows.flags.c_contiguous and not columns.flags.c_contiguous
+        a, b = (SampleMatrix(bits=bits, stationary=stationary) for bits in (rows, columns))
+        assert np.array_equal(a.pair_counts, rows.T.astype(np.int64) @ rows)
+        assert np.array_equal(a.pair_counts, b.pair_counts)
+        for length in (depth, 9, 3, 1, 12):  # shorter lengths read the cache, then a longer one refills it
+            for x, y in zip(a.window_counts(length), b.window_counts(length)):
+                assert np.array_equal(x, y)
+        for length in (1, 5, depth):
+            c_codes, f_codes = ([code.copy() for code in window_codes(bits, length)] for bits in (rows, columns))
+            assert len(c_codes) == depth - length + 1 and np.array_equal(c_codes, f_codes)
+        assert prefix_counts(a) == prefix_counts(b)
 
 
 class TestGeneratingBitsCount:

@@ -100,7 +100,7 @@ def _check_at_least_one(args, *flags: str) -> None:
 def cmd_sample(args) -> int:
     _check_at_least_one(args, "depth", "samples", "threads")
     model = model_from_json(_load_model_doc(args.model), seed=args.seed, stream=args.stream)
-    s = sample_matrix(model, args.depth, args.samples, threads=args.threads)
+    s = sample_matrix(model, args.depth, args.samples)
     out = _outdir(args) / "samples.csv"
     # The CSV body as bytes: digit, comma, ..., digit, newline on each row.
     body = np.full((s.n_samples, 2 * s.depth), ord(","), dtype=np.uint8)
@@ -118,7 +118,7 @@ def cmd_measure(args) -> int:
         raise FiqError(f"--samples must be >= {MIN_MI_SAMPLES} for pairwise MI when --depth > 1, "
                        f"got {args.samples}")
     model = model_from_json(_load_model_doc(args.model), seed=args.seed, stream=args.stream)
-    s = sample_matrix(model, args.depth, args.samples, threads=args.threads)
+    s = sample_matrix(model, args.depth, args.samples)
     info = info_report(s, l_max=args.blocks)
     corr = correlation_report(s)
     doc = {
@@ -156,7 +156,7 @@ def cmd_arith(args) -> int:
         if args.seed is None:
             raise FiqError("--seed is required in sample mode")
         table = scaled_digit_table(args.constant, args.depth)  # checks the depth bound before sampling
-        s = sample_matrix(model, args.depth, args.samples, threads=args.threads)
+        s = sample_matrix(model, args.depth, args.samples)
         weights, total = prefix_counts(s), args.samples
     law = digit_law(table, weights)
     del table, weights  # 2^depth entries each: not held while the entries and JSON text are built
@@ -196,7 +196,7 @@ def cmd_experiment(args) -> int:
     else:
         with open(args.spec) as fh:
             spec = ExperimentSpec.from_json(json.load(fh), seed=args.seed)
-    verdict = RUNNERS[args.kind](dataclasses.replace(spec, threads=args.threads))
+    verdict = RUNNERS[args.kind](spec)
     outdir = _outdir(args)
     for name, rows in verdict.tables.items():
         _write_csv(outdir / f"{name}.csv", list(rows[0]), [[row[key] for key in rows[0]] for row in rows])
@@ -208,6 +208,11 @@ def cmd_experiment(args) -> int:
         print(f"[{mark}] {claim.statement}")
     print(outdir / "verdict.json")
     return EXIT_OK if verdict.passed else EXIT_CLAIM_FAILED
+
+
+def _add_threads_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--threads", type=int, default=1,
+                   help="must be >= 1; sampling runs in one thread, and the value never changes output")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -222,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--threads", type=int, default=1)
+    _add_threads_flag(p)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("measure", help="information and correlation reports")
@@ -230,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--blocks", type=int, default=8, help="maximum block length")
-    p.add_argument("--threads", type=int, default=1)
+    _add_threads_flag(p)
     p.add_argument("--mi-csv", action="store_true", help="also write the MI matrix as CSV")
     p.set_defaults(func=cmd_measure)
 
@@ -240,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--mode", choices=("exact", "sample"), default="exact")
     p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--threads", type=int, default=1)
+    _add_threads_flag(p)
     p.set_defaults(func=cmd_arith)
 
     p = sub.add_parser("experiment", help="run a canned experiment and emit a verdict")
@@ -248,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", default=None)
     p.add_argument("--spec", default=None, help="experiment spec JSON file")
     p.add_argument("--seed", type=_seed_arg, required=True)
-    p.add_argument("--threads", type=int, default=1)
+    _add_threads_flag(p)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_experiment)
 

@@ -67,7 +67,6 @@ class ExperimentSpec:
     samples: int
     constant: Fraction | None = None
     sigma: float = 3.0
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if not 0 < self.sigma < math.inf:
@@ -216,7 +215,7 @@ def run_units_critique(spec: ExperimentSpec) -> ExperimentVerdict:
         threshold=0.0,
     )]
 
-    sample = sample_matrix(model, spec.depth, spec.samples, threads=spec.threads)
+    sample = sample_matrix(model, spec.depth, spec.samples)
     count_joints = digit_pair_joints(leading_digits(table, prefix_counts(sample)))
 
     claims.append(_z_claim(
@@ -284,7 +283,7 @@ def run_majority_study(spec: ExperimentSpec) -> ExperimentVerdict:
     if not 0 < bias < 1:  # constant source bits leave every z-score undefined
         raise ValueError(f"model field 'bias' must be in (0, 1) for this study, got '{bias}'")
     enumeration_span(k, [1, 1 + k] if spec.depth > k + 1 else [1, 2])  # widest joint, before any work
-    sample = sample_matrix(model, spec.depth, spec.samples, threads=spec.threads)
+    sample = sample_matrix(model, spec.depth, spec.samples)
     n = spec.samples
     claims: list[Claim] = []
 
@@ -364,7 +363,7 @@ def run_units_on_majority(spec: ExperimentSpec) -> ExperimentVerdict:
         raise ValueError("a positive rational constant is required")
     c = spec.constant
     table = scaled_digit_table(c, spec.depth)  # checks the depth bound before sampling
-    sample = sample_matrix(model, spec.depth, spec.samples, threads=spec.threads)
+    sample = sample_matrix(model, spec.depth, spec.samples)
     counts = prefix_counts(sample)
 
     # soundness: the whole scaled interval of every realized prefix value lies

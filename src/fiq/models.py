@@ -15,8 +15,6 @@ overlap structure is unchanged by this re-indexing.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -299,38 +297,25 @@ def sample_prefix(model: FiqModel, depth: int, stream_id: int | None = None) -> 
     return BitPrefix(tuple(int(b) for b in row))
 
 
-def sample_matrix(model: FiqModel, depth: int, n_samples: int, threads: int = 1) -> SampleMatrix:
+def sample_matrix(model: FiqModel, depth: int, n_samples: int) -> SampleMatrix:
     """N realizations on streams stream_id .. stream_id+N-1, one per row.
 
-    Every stream id must fit in 64 bits.  Rows are drawn in chunks of at most
-    SAMPLE_CHUNK_BITS source bits and written in place into the column-major
-    result, so peak memory is the result plus a fixed amount.  Output is
-    identical for any thread count, since rows are pure functions of their
-    stream id.  At most ``os.cpu_count()`` workers run; one runs in the caller's thread, with no pool.
+    Every stream id must fit in 64 bits.  Rows are drawn in the caller's thread,
+    in chunks of at most SAMPLE_CHUNK_BITS source bits, and written in place
+    into the column-major result, so peak memory is the result plus a fixed
+    amount.  Rows are pure functions of their stream id.
     """
     if depth < 1 or n_samples < 1:
         raise ValueError("depth and n_samples must be >= 1")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     base = model.source.stream_id
     if base + n_samples > 1 << 64:
         raise ValueError(f"streams {base} .. {base + n_samples - 1} do not fit in 64 bits")
     columns = np.empty((depth, n_samples), dtype=np.uint8)
     rows = max(1, SAMPLE_CHUNK_BITS // model.generating_bits(depth))
-    starts = range(0, n_samples, rows)
-    workers = min(threads, os.cpu_count() or 1)
-
-    def fill(start: int) -> None:
+    for start in range(0, n_samples, rows):
         stop = min(start + rows, n_samples)
         # the stream-minor bit source makes each chunk's transpose C-contiguous: depth runs copy in whole
         columns[:, start:stop] = model.sample(np.arange(base + start, base + stop, dtype=np.uint64), depth).T
-
-    if workers == 1:
-        for start in starts:
-            fill(start)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, starts))
     return SampleMatrix(bits=columns.T, stationary=model.stationary)
 
 

@@ -3,7 +3,7 @@
 Uniform n of stream (seed, stream_id) is a pure function of (seed, stream_id,
 n): a splitmix64-style finalizer applied to a per-stream key advanced by a
 Weyl increment.  That makes sampling reproducible by construction, independent
-of scheduling or thread count, and lets whole (stream x index) grids be
+of how the rows are chunked, and lets whole (stream x index) grids be
 generated in one vectorized shot.
 
 The source hands out uniforms only; models own their propensities and turn

@@ -5,7 +5,7 @@ import os
 import random
 import subprocess
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from fractions import Fraction
 
 import pytest
@@ -137,27 +137,32 @@ class TestMeasure:
         assert a == (tmp_path / "c/report.json").read_bytes()
 
 
-class TestThreadsAcrossChunks:
-    @pytest.mark.parametrize("command,output", [
-        (["sample", "--model", json.dumps(MIXED_MODEL)], "samples.csv"),
-        (["arith", "--mode", "sample", "--model", json.dumps(MAJORITY_MODEL), "--constant", "3"], "arith.json"),
-    ], ids=["sample", "arith"])
-    def test_one_and_two_threads_write_the_same_bytes(self, tmp_path, monkeypatch, command, output):
-        pools = []
+class TestOneThread:
+    @pytest.mark.parametrize("command,outputs", [
+        (["sample", "--model", json.dumps(MIXED_MODEL), "--depth", "9", "--samples", "1001"], ["samples.csv"]),
+        (["measure", "--model", json.dumps(MAJORITY_MODEL), "--depth", "9", "--samples", "1001", "--mi-csv"],
+         ["report.json", "mi_matrix.csv"]),
+        (["arith", "--mode", "sample", "--model", json.dumps(MAJORITY_MODEL), "--constant", "3",
+          "--depth", "9", "--samples", "1001"], ["arith.json"]),
+        (["experiment", "majority", "--preset", "k3"], ["verdict.json", "marginals.csv", "adjacent_joint.csv"]),
+    ], ids=["sample", "measure", "arith", "experiment"])
+    def test_no_thread_is_started(self, tmp_path, monkeypatch, command, outputs):
+        def no_thread(self):
+            raise AssertionError("a thread was started")
 
-        class RecordingPool(ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers)
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        monkeypatch.setattr(fiq.models, "SAMPLE_CHUNK_BITS", 1 << 10)  # every command samples in many chunks
+        for threads in ("1", "4"):
+            assert run_cli([*command, "--seed", "4", "--threads", threads], tmp_path / threads) == 0
+        for name in outputs:
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "4" / name).read_bytes()
 
-        monkeypatch.setattr(fiq.models, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(fiq.models, "SAMPLE_CHUNK_BITS", 64)  # 5 or 7 rows per chunk: 1001 rows in many chunks
-        for threads in ("1", "2"):
-            args = [*command, "--depth", "9", "--samples", "1001", "--seed", "4", "--threads", threads]
-            assert run_cli(args, tmp_path / threads) == 0
-        assert pools == [2]  # one thread ran inline, two ran in a pool
-        assert (tmp_path / "1" / output).read_bytes() == (tmp_path / "2" / output).read_bytes()
+    def test_import_loads_no_thread_pool(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, fiq.cli; assert 'concurrent.futures' not in sys.modules"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestArith:

@@ -239,12 +239,6 @@ class TestDeterminism:
         b = run_majority_study(spec).to_jsonable()
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
-    def test_thread_count_does_not_change_verdict(self):
-        spec = small(preset_spec("units", "biased-x3", seed=31), samples=3000)
-        a = run_units_critique(replace(spec, threads=1)).to_jsonable()
-        b = run_units_critique(replace(spec, threads=4)).to_jsonable()
-        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-
 
 class TestDigitPairJoints:
     def test_excluded_mass_is_small_at_depth_12(self):

@@ -1,6 +1,5 @@
 import itertools
 import math
-import os
 from fractions import Fraction
 
 import numpy as np
@@ -273,30 +272,23 @@ class TestWindowCodes:
 
 
 class TestSampleMatrix:
-    def test_thread_count_does_not_change_results(self):
-        model = MajorityVoteModel(k=3, source=fair_source(seed=8))
-        a = sample_matrix(model, 12, 503, threads=1)
-        b = sample_matrix(model, 12, 503, threads=4)
-        assert np.array_equal(a.bits, b.bits)
-
     def test_rows_match_per_stream_prefixes(self):
         model = MajorityVoteModel(k=3, source=fair_source(seed=8))
         s = sample_matrix(model, 8, 5)
         for i in range(5):
             assert tuple(int(b) for b in s.bits[i]) == sample_prefix(model, 8, stream_id=i).bits
 
-    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("model", [
         IndependentBitsModel(pv=PropensityVector(["1", "0", "1/3", "3/4"], tail=TailPolicy.HALF),
                              source=fair_source(seed=6, stream=9)),
         *(MajorityVoteModel(k=k, source=fair_source(seed=6, stream=9), bias=bias)
           for k in (1, 3, 5) for bias in (Fraction(0), Fraction(1), Fraction(1, 3))),
     ], ids=lambda m: m.to_json()["type"] + (f"-k{m.k}-bias{m.bias}" if hasattr(m, "k") else ""))
-    def test_matches_pure_python_oracle(self, monkeypatch, model, threads):
+    def test_matches_pure_python_oracle(self, monkeypatch, model):
         depth, n = 7, 23
         # four rows per chunk, so 23 rows end in a partial chunk
         monkeypatch.setattr(fiq.models, "SAMPLE_CHUNK_BITS", 4 * model.generating_bits(depth) + 1)
-        got = sample_matrix(model, depth, n, threads=threads).bits
+        got = sample_matrix(model, depth, n).bits
         assert got.tolist() == oracle_rows(model, depth, n)
 
     @pytest.mark.parametrize("bias", [Fraction(0), Fraction(1, 2), Fraction(1)])
@@ -331,52 +323,7 @@ class TestSampleMatrix:
             f = s.bits[:, j].mean()
             assert abs(f - q) <= 3 * math.sqrt(q * (1 - q) / n)
 
-    @pytest.mark.parametrize("threads", [0, -3])
-    def test_rejects_threads_below_one(self, threads):
-        model = MajorityVoteModel(k=3, source=fair_source())
-        with pytest.raises(ValueError, match="threads"):
-            sample_matrix(model, 4, 10, threads=threads)
-
-    def test_threads_capped_at_cpu_count(self, monkeypatch):
-        pools = []
-
-        class InlinePool:
-            """ThreadPoolExecutor stand-in that runs every task inline."""
-
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(fiq.models, "ThreadPoolExecutor", InlinePool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        model = MajorityVoteModel(k=3, source=fair_source(seed=8))
-        capped = sample_matrix(model, 12, 503, threads=64)
-        assert pools == [3]
-        assert np.array_equal(capped.bits, sample_matrix(model, 12, 503, threads=1).bits)
-
-    @pytest.mark.parametrize("threads,cpus", [(1, 8), (4, 1)])
-    def test_one_worker_runs_without_a_pool(self, monkeypatch, threads, cpus):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("one worker built a thread pool")
-
-        monkeypatch.setattr(fiq.models, "ThreadPoolExecutor", no_pool)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        model = MajorityVoteModel(k=3, source=fair_source(seed=8, stream=2))
-        # seven rows per chunk, so 503 rows end in a partial chunk
-        monkeypatch.setattr(fiq.models, "SAMPLE_CHUNK_BITS", 7 * model.generating_bits(12) + 1)
-        got = sample_matrix(model, 12, 503, threads=threads).bits
-        assert np.array_equal(got, model.sample(np.arange(2, 2 + 503, dtype=np.uint64), 12))
-
-    @pytest.mark.parametrize("threads,cpus", [(1, 8), (4, 1), (2, 2)], ids=["inline", "inline-capped", "pool"])
-    def test_sampling_error_reaches_the_caller_unchanged(self, monkeypatch, threads, cpus):
+    def test_sampling_error_reaches_the_caller_unchanged(self, monkeypatch):
         error = ValueError("chunk failed")
         sample = MajorityVoteModel.sample
 
@@ -386,25 +333,23 @@ class TestSampleMatrix:
             return sample(self, stream_ids, depth)
 
         monkeypatch.setattr(MajorityVoteModel, "sample", failing_sample)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         model = MajorityVoteModel(k=3, source=fair_source())
         monkeypatch.setattr(fiq.models, "SAMPLE_CHUNK_BITS", 10 * model.generating_bits(4))
         with pytest.raises(ValueError) as raised:
-            sample_matrix(model, 4, 50, threads=threads)
+            sample_matrix(model, 4, 50)
         assert raised.value is error
 
-    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("model", [
         MajorityVoteModel(k=3, source=fair_source(seed=8)),
         IndependentBitsModel(pv=PropensityVector(["3/4", "1/3"], tail=TailPolicy.HALF),
                              source=fair_source(seed=8, stream=40)),
     ], ids=["majority", "independent"])
-    def test_chunks_equal_one_call_over_all_streams(self, monkeypatch, model, threads):
+    def test_chunks_equal_one_call_over_all_streams(self, monkeypatch, model):
         depth, n = 9, 103
         # five rows per chunk, so 103 rows end in a partial chunk
         monkeypatch.setattr(fiq.models, "SAMPLE_CHUNK_BITS", 5 * model.generating_bits(depth) + 1)
         streams = np.arange(model.source.stream_id, model.source.stream_id + n, dtype=np.uint64)
-        got = sample_matrix(model, depth, n, threads=threads).bits
+        got = sample_matrix(model, depth, n).bits
         assert got.dtype == np.uint8 and got.shape == (n, depth)
         assert np.array_equal(got, model.sample(streams, depth))
 
@@ -420,7 +365,7 @@ class TestSampleMatrix:
             return sample(self, stream_ids, d)
 
         monkeypatch.setattr(MajorityVoteModel, "sample", recording_sample)
-        sample_matrix(model, depth, n, threads=2)
+        sample_matrix(model, depth, n)
         assert max(len(c) for c in calls) <= 4
         rows = np.sort(np.concatenate(calls)) - 7
         assert rows.tolist() == list(range(n))

@@ -165,6 +165,21 @@ class TestOneThread:
         assert proc.returncode == 0, proc.stderr
 
 
+class TestChunkSize:
+    @pytest.mark.parametrize("command,outputs", [
+        (["sample", "--model", json.dumps(MIXED_MODEL)], ["samples.csv"]),
+        (["measure", "--model", json.dumps(MAJORITY_MODEL), "--mi-csv"], ["report.json", "mi_matrix.csv"]),
+        (["arith", "--mode", "sample", "--model", json.dumps(MAJORITY_MODEL), "--constant", "3"], ["arith.json"]),
+    ], ids=["sample", "measure", "arith"])
+    def test_chunk_size_does_not_change_output(self, tmp_path, monkeypatch, command, outputs):
+        args = [*command, "--depth", "9", "--samples", "1001", "--seed", "4"]
+        assert run_cli(args, tmp_path / "one") == 0  # 1001 rows fit in one chunk
+        monkeypatch.setattr(fiq.models, "SAMPLE_CHUNK_BITS", 64)  # 5 or 7 rows per chunk
+        assert run_cli(args, tmp_path / "many") == 0
+        for name in outputs:
+            assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "many" / name).read_bytes()
+
+
 class TestArith:
     def test_exact_distribution(self, tmp_path):
         code = run_cli(["arith", "--model", json.dumps(BIASED_MODEL),

@@ -7,6 +7,7 @@ import pytest
 
 import fiq.arithmetic
 import fiq.experiments
+import fiq.models
 from fiq.arithmetic import prefix_counts
 from fiq.errors import EnumerationBoundError
 from fiq.experiments import (
@@ -237,6 +238,13 @@ class TestDeterminism:
         spec = small(preset_spec("majority", "k3", seed=31), samples=3000, depth=8)
         a = run_majority_study(spec).to_jsonable()
         b = run_majority_study(spec).to_jsonable()
+        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+    def test_chunk_size_does_not_change_verdict(self, monkeypatch):
+        spec = small(preset_spec("units", "biased-x3", seed=31), samples=3000)
+        a = run_units_critique(spec).to_jsonable()
+        monkeypatch.setattr(fiq.models, "SAMPLE_CHUNK_BITS", 1 << 10)  # 85 rows per chunk: 3000 rows in 36 chunks
+        b = run_units_critique(spec).to_jsonable()
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -284,10 +285,11 @@ class TestSampleMatrix:
         *(MajorityVoteModel(k=k, source=fair_source(seed=6, stream=9), bias=bias)
           for k in (1, 3, 5) for bias in (Fraction(0), Fraction(1), Fraction(1, 3))),
     ], ids=lambda m: m.to_json()["type"] + (f"-k{m.k}-bias{m.bias}" if hasattr(m, "k") else ""))
-    def test_matches_pure_python_oracle(self, monkeypatch, model):
+    @pytest.mark.parametrize("chunk_rows", [1, 4])
+    def test_matches_pure_python_oracle(self, monkeypatch, model, chunk_rows):
         depth, n = 7, 23
-        # four rows per chunk, so 23 rows end in a partial chunk
-        monkeypatch.setattr(fiq.models, "SAMPLE_CHUNK_BITS", 4 * model.generating_bits(depth) + 1)
+        # one row per chunk, or four, so 23 rows end in a partial chunk
+        monkeypatch.setattr(fiq.models, "SAMPLE_CHUNK_BITS", chunk_rows * model.generating_bits(depth) + 1)
         got = sample_matrix(model, depth, n).bits
         assert got.tolist() == oracle_rows(model, depth, n)
 
@@ -323,35 +325,57 @@ class TestSampleMatrix:
             f = s.bits[:, j].mean()
             assert abs(f - q) <= 3 * math.sqrt(q * (1 - q) / n)
 
-    def test_sampling_error_reaches_the_caller_unchanged(self, monkeypatch):
+    @pytest.mark.parametrize("failing_start", [0, 20, 40], ids=["first", "middle", "last-partial"])
+    def test_sampling_error_reaches_the_caller_unchanged(self, monkeypatch, failing_start):
         error = ValueError("chunk failed")
         sample = MajorityVoteModel.sample
+        starts = []
 
         def failing_sample(self, stream_ids, depth):
-            if stream_ids[0] >= 20:  # the first chunks succeed
+            starts.append(int(stream_ids[0]))
+            if stream_ids[0] == failing_start:
                 raise error
             return sample(self, stream_ids, depth)
 
         monkeypatch.setattr(MajorityVoteModel, "sample", failing_sample)
         model = MajorityVoteModel(k=3, source=fair_source())
+        # ten rows per chunk, so the chunk at row 40 holds the last five of 45 rows
         monkeypatch.setattr(fiq.models, "SAMPLE_CHUNK_BITS", 10 * model.generating_bits(4))
         with pytest.raises(ValueError) as raised:
-            sample_matrix(model, 4, 50)
+            sample_matrix(model, 4, 45)
         assert raised.value is error
+        assert starts == list(range(0, failing_start + 1, 10))  # no chunk is sampled after the failing one
 
     @pytest.mark.parametrize("model", [
         MajorityVoteModel(k=3, source=fair_source(seed=8)),
         IndependentBitsModel(pv=PropensityVector(["3/4", "1/3"], tail=TailPolicy.HALF),
                              source=fair_source(seed=8, stream=40)),
     ], ids=["majority", "independent"])
-    def test_chunks_equal_one_call_over_all_streams(self, monkeypatch, model):
+    @pytest.mark.parametrize("chunk_rows", [1, 5])
+    def test_chunks_equal_one_call_over_all_streams(self, monkeypatch, model, chunk_rows):
         depth, n = 9, 103
-        # five rows per chunk, so 103 rows end in a partial chunk
-        monkeypatch.setattr(fiq.models, "SAMPLE_CHUNK_BITS", 5 * model.generating_bits(depth) + 1)
+        # one row per chunk, or five, so 103 rows end in a partial chunk
+        monkeypatch.setattr(fiq.models, "SAMPLE_CHUNK_BITS", chunk_rows * model.generating_bits(depth) + 1)
         streams = np.arange(model.source.stream_id, model.source.stream_id + n, dtype=np.uint64)
         got = sample_matrix(model, depth, n).bits
         assert got.dtype == np.uint8 and got.shape == (n, depth)
         assert np.array_equal(got, model.sample(streams, depth))
+
+    @pytest.mark.parametrize("model", [
+        MajorityVoteModel(k=5, source=fair_source(seed=4, stream=3)),
+        IndependentBitsModel(pv=PropensityVector(["1/3", "3/4"], tail=TailPolicy.HALF),
+                             source=fair_source(seed=4, stream=3)),
+    ], ids=["majority", "independent"])
+    def test_starts_no_thread(self, monkeypatch, model):
+        def no_thread(self):
+            raise AssertionError("a thread was started")
+
+        depth, n = 10, 301
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        # seven rows per chunk: 301 rows in 43 chunks
+        monkeypatch.setattr(fiq.models, "SAMPLE_CHUNK_BITS", 7 * model.generating_bits(depth))
+        got = sample_matrix(model, depth, n).bits
+        assert np.array_equal(got, model.sample(np.arange(3, 3 + n, dtype=np.uint64), depth))
 
     def test_calls_bounded_by_chunk_and_cover_every_row_once(self, monkeypatch):
         model = MajorityVoteModel(k=5, source=fair_source(seed=3, stream=7))

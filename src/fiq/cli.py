@@ -26,6 +26,7 @@ from .estimators import MIN_MI_SAMPLES, correlation_report, info_report
 from .experiments import RUNNERS, ExperimentSpec, preset_spec
 from .arithmetic import digit_law, prefix_counts, scale_fiq_truncated, scaled_digit_table
 from .models import model_from_json, sample_matrix
+from .randombits import check_u64
 from .rational import format_rational, parse_rational
 
 EXIT_OK = 0
@@ -60,25 +61,21 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def _outdir(args) -> Path:
-    if args.out:
-        return Path(args.out)
-    return Path(os.environ.get("FIQ_OUTPUT_DIR", "."))
+    return Path(args.out or os.environ.get("FIQ_OUTPUT_DIR", "."))
 
 
-def _load_model_doc(text: str) -> dict:
-    """Accept a path to a JSON file or an inline JSON object."""
-    s = text.strip()
-    if s.startswith("{"):
-        return json.loads(s)
-    with open(s) as fh:
-        return json.load(fh)
+def _load_model(args, seed):
+    """The model of --model: inline JSON if it starts with "{", else a path to a JSON file."""
+    text = args.model.strip()
+    doc = json.loads(text if text.startswith("{") else Path(text).read_text())
+    return model_from_json(doc, seed=seed, stream=args.stream)
 
 
 def _seed_arg(value: str) -> int:
-    seed = int(value)
-    if not 0 <= seed < (1 << 64):
-        raise argparse.ArgumentTypeError("seed must be a 64-bit unsigned integer")
-    return seed
+    try:
+        return check_u64(int(value), "seed")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"seed must be a 64-bit unsigned integer, got {value!r}") from None
 
 
 def _add_model_flags(p: argparse.ArgumentParser, need_seed: bool = True) -> None:
@@ -86,7 +83,6 @@ def _add_model_flags(p: argparse.ArgumentParser, need_seed: bool = True) -> None
     p.add_argument("--seed", type=_seed_arg, required=need_seed,
                    help="64-bit seed (explicit; there is no time-based default)")
     p.add_argument("--stream", type=int, default=None, help="base stream id")
-    p.add_argument("--out", default=None, help="output directory")
 
 
 def _check_at_least_one(args, *flags: str) -> None:
@@ -98,8 +94,8 @@ def _check_at_least_one(args, *flags: str) -> None:
 
 
 def cmd_sample(args) -> int:
-    _check_at_least_one(args, "depth", "samples", "threads")
-    model = model_from_json(_load_model_doc(args.model), seed=args.seed, stream=args.stream)
+    _check_at_least_one(args, "depth", "samples")
+    model = _load_model(args, args.seed)
     s = sample_matrix(model, args.depth, args.samples)
     out = _outdir(args) / "samples.csv"
     # The CSV body as bytes: digit, comma, ..., digit, newline on each row.
@@ -113,11 +109,11 @@ def cmd_sample(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    _check_at_least_one(args, "blocks", "depth", "samples", "threads")
+    _check_at_least_one(args, "blocks", "depth", "samples")
     if args.depth > 1 and args.samples < MIN_MI_SAMPLES:  # correlation_report estimates every pair's MI
         raise FiqError(f"--samples must be >= {MIN_MI_SAMPLES} for pairwise MI when --depth > 1, "
                        f"got {args.samples}")
-    model = model_from_json(_load_model_doc(args.model), seed=args.seed, stream=args.stream)
+    model = _load_model(args, args.seed)
     s = sample_matrix(model, args.depth, args.samples)
     info = info_report(s, l_max=args.blocks)
     corr = correlation_report(s)
@@ -144,18 +140,15 @@ def cmd_measure(args) -> int:
 
 
 def cmd_arith(args) -> int:
-    _check_at_least_one(args, "depth", "threads", *(["samples"] if args.mode == "sample" else []))
-    model = model_from_json(
-        _load_model_doc(args.model),
-        seed=args.seed if args.seed is not None else 0,
-        stream=args.stream,
-    )
+    constant = parse_rational(args.constant)
+    _check_at_least_one(args, "depth", *(["samples"] if args.mode == "sample" else []))
+    model = _load_model(args, args.seed if args.seed is not None else 0)
     if args.mode == "exact":
-        table, weights, total = scale_fiq_truncated(model, args.constant, args.depth)
+        table, weights, total = scale_fiq_truncated(model, constant, args.depth)
     else:
         if args.seed is None:
             raise FiqError("--seed is required in sample mode")
-        table = scaled_digit_table(args.constant, args.depth)  # checks the depth bound before sampling
+        table = scaled_digit_table(constant, args.depth)  # checks the depth bound before sampling
         s = sample_matrix(model, args.depth, args.samples)
         weights, total = prefix_counts(s), args.samples
     law = digit_law(table, weights)
@@ -173,7 +166,7 @@ def cmd_arith(args) -> int:
         "config": {
             "command": "arith",
             "model": model.to_json(),
-            "constant": format_rational(args.constant),
+            "constant": format_rational(constant),
             "depth": args.depth,
             "mode": args.mode,
             "samples": args.samples if args.mode == "sample" else None,
@@ -190,18 +183,14 @@ def cmd_arith(args) -> int:
 def cmd_experiment(args) -> int:
     if (args.preset is None) == (args.spec is None):
         raise FiqError("give exactly one of --preset or --spec")
-    _check_at_least_one(args, "threads")
     if args.preset is not None:
         spec = preset_spec(args.kind, args.preset, seed=args.seed)
     else:
-        with open(args.spec) as fh:
-            spec = ExperimentSpec.from_json(json.load(fh), seed=args.seed)
+        spec = ExperimentSpec.from_json(json.loads(Path(args.spec).read_text()), seed=args.seed)
     verdict = RUNNERS[args.kind](spec)
     outdir = _outdir(args)
     for name, rows in verdict.tables.items():
         _write_csv(outdir / f"{name}.csv", list(rows[0]), [[row[key] for key in rows[0]] for row in rows])
-        verdict.artifacts.append(f"{name}.csv")
-    verdict.artifacts.append("verdict.json")
     _write_json(outdir / "verdict.json", verdict.to_jsonable())
     for claim in verdict.claims:
         mark = "PASS" if claim.passed else "FAIL"
@@ -210,51 +199,52 @@ def cmd_experiment(args) -> int:
     return EXIT_OK if verdict.passed else EXIT_CLAIM_FAILED
 
 
-def _add_threads_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threads", type=int, default=1,
-                   help="must be >= 1; sampling runs in one thread, and the value never changes output")
+class _Parser(argparse.ArgumentParser):
+    """A usage error is one line on stderr, ``fiq: error: <message>``, and exit 2."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"fiq: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fiq",
         description="Finite information quantities: sampling, measurement, "
                     "digit arithmetic and reproducible experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--out", default=None, help="output directory")
+    shared.add_argument("--threads", type=int, default=1,
+                        help="must be >= 1; sampling runs in one thread, and the value never changes output")
 
-    p = sub.add_parser("sample", help="draw realizations and dump them as CSV")
+    p = sub.add_parser("sample", parents=[shared], help="draw realizations and dump them as CSV")
     _add_model_flags(p)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--samples", type=int, required=True)
-    _add_threads_flag(p)
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("measure", help="information and correlation reports")
+    p = sub.add_parser("measure", parents=[shared], help="information and correlation reports")
     _add_model_flags(p)
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--blocks", type=int, default=8, help="maximum block length")
-    _add_threads_flag(p)
     p.add_argument("--mi-csv", action="store_true", help="also write the MI matrix as CSV")
     p.set_defaults(func=cmd_measure)
 
-    p = sub.add_parser("arith", help="determined digits of a scaled quantity")
+    p = sub.add_parser("arith", parents=[shared], help="determined digits of a scaled quantity")
     _add_model_flags(p, need_seed=False)
-    p.add_argument("--constant", type=parse_rational, required=True, help='rational "p/q"')
+    p.add_argument("--constant", required=True, help='rational "p/q"')
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--mode", choices=("exact", "sample"), default="exact")
     p.add_argument("--samples", type=int, default=10_000)
-    _add_threads_flag(p)
     p.set_defaults(func=cmd_arith)
 
-    p = sub.add_parser("experiment", help="run a canned experiment and emit a verdict")
+    p = sub.add_parser("experiment", parents=[shared], help="run a canned experiment and emit a verdict")
     p.add_argument("kind", choices=tuple(RUNNERS))
     p.add_argument("--preset", default=None)
     p.add_argument("--spec", default=None, help="experiment spec JSON file")
     p.add_argument("--seed", type=_seed_arg, required=True)
-    _add_threads_flag(p)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_experiment)
 
     return parser
@@ -264,6 +254,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_at_least_one(args, "threads")
         return args.func(args)
     except (FiqError, ValueError, OSError, MemoryError) as exc:
         print(f"fiq: error: {str(exc) or type(exc).__name__}", file=sys.stderr)

@@ -100,7 +100,7 @@ def correlated_info_from_dist(dist: Mapping[tuple, object]) -> "CandidateMeasure
 def pairwise_joint_counts(s: SampleMatrix, i: int, j: int) -> dict[tuple[int, int], int]:
     """2x2 counts of columns i and j, keyed (bit i, bit j), read off ``s.pair_counts``.
 
-    Those counts are computed once per sample: do not write ``s.bits`` after the first call.
+    Those counts are computed once per sample; ``sample_matrix``'s bits are read-only.
     """
     g = s.pair_counts
     n11 = int(g[i, j])
@@ -158,8 +158,8 @@ def block_entropy(s: SampleMatrix, block_length: int, *, first_window: bool = Fa
 
     Windows are pooled across positions only for stationary processes;
     otherwise, or with ``first_window``, the block starts at position 1.  The
-    counts are read off ``s.window_counts``, built once per sample: do not
-    write ``s.bits`` after the first call.
+    counts are read off ``s.window_counts``, built once per sample from bits
+    that ``sample_matrix`` returns read-only.
     """
     if block_length < 1:
         raise ValueError("block length must be >= 1")

@@ -53,7 +53,7 @@ from .models import (
     sample_prefix,
 )
 from .propensity import HALF
-from .randombits import RandomBitSource
+from .randombits import RandomBitSource, check_u64
 from .rational import format_rational
 
 
@@ -103,7 +103,8 @@ class ExperimentSpec:
                               "name", "model", "depth", "samples", "seed", "sigma", "constant")
         if not isinstance(data["name"], str):
             raise ValueError(f"experiment spec field 'name' must be a string, got {data['name']!r}")
-        doc_seed = json_int(data["seed"], "experiment spec field 'seed'") if "seed" in data else None
+        what = "experiment spec field 'seed'"
+        doc_seed = check_u64(json_int(data["seed"], what), what) if "seed" in data else None
         return cls(
             name=data["name"],
             model=model_from_json(data["model"], seed=seed if seed is not None else doc_seed),
@@ -135,7 +136,6 @@ class ExperimentVerdict:
     config: dict
     claims: list[Claim]
     tables: dict[str, list[dict]] = field(default_factory=dict)
-    artifacts: list[str] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -147,7 +147,7 @@ class ExperimentVerdict:
             "config": self.config,
             "claims": [c.to_jsonable() for c in self.claims],
             "pass": self.passed,
-            "artifacts": self.artifacts,
+            "artifacts": [*(f"{name}.csv" for name in self.tables), "verdict.json"],
         }
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DepthBeyondKnowledgeError, EnumerationBoundError
 from .jsonfields import json_int, json_rational, reject_unknown_fields, require_fields
 from .propensity import HALF, PropensityVector, TailPolicy, as_propensity
-from .randombits import RandomBitSource, threshold_bits
+from .randombits import RandomBitSource, check_u64, threshold_bits
 from .rational import format_rational
 
 ENUMERATION_BIT_BOUND = 24
@@ -202,8 +202,8 @@ class SampleMatrix:
     ``stationary`` records whether the generating process is shift-invariant
     across bit positions (true for majority-vote models), which decides
     whether block statistics may pool across positions.  ``pair_counts`` and
-    ``window_counts`` are computed once per sample: ``bits`` must not be
-    written after they are read.
+    ``window_counts`` are computed once per sample; ``sample_matrix`` returns
+    ``bits`` read-only, so they cannot go stale.
     """
 
     bits: np.ndarray  # (N, d) uint8 in any layout; sample_matrix's is column-major: the view of a (d, N) C array
@@ -303,7 +303,7 @@ def sample_matrix(model: FiqModel, depth: int, n_samples: int) -> SampleMatrix:
     Every stream id must fit in 64 bits.  Rows are drawn in the caller's thread,
     in chunks of at most SAMPLE_CHUNK_BITS source bits, and written in place
     into the column-major result, so peak memory is the result plus a fixed
-    amount.  Rows are pure functions of their stream id.
+    amount.  Rows are pure functions of their stream id.  The bits are read-only.
     """
     if depth < 1 or n_samples < 1:
         raise ValueError("depth and n_samples must be >= 1")
@@ -316,6 +316,7 @@ def sample_matrix(model: FiqModel, depth: int, n_samples: int) -> SampleMatrix:
         stop = min(start + rows, n_samples)
         # the stream-minor bit source makes each chunk's transpose C-contiguous: depth runs copy in whole
         columns[:, start:stop] = model.sample(np.arange(base + start, base + stop, dtype=np.uint64), depth).T
+    columns.flags.writeable = False
     return SampleMatrix(bits=columns.T, stationary=model.stationary)
 
 
@@ -386,7 +387,8 @@ def model_from_json(
     """Build a model from its JSON form; ``seed``/``stream`` override the document's, checked all the same."""
     require_fields(data, "model JSON")
     kind = data.get("type")
-    doc = {key: json_int(data[key], f"model field {key!r}") for key in ("seed", "stream") if key in data}
+    doc = {key: check_u64(json_int(data[key], f"model field {key!r}"), f"model field {key!r}")
+           for key in ("seed", "stream") if key in data}
     seed = seed if seed is not None else doc.get("seed")
     if seed is None:
         raise ValueError("model JSON carries no seed and none was supplied")

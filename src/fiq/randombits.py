@@ -65,6 +65,13 @@ def threshold_bits(u: np.ndarray, propensities: Sequence[Fraction]) -> np.ndarra
     return bits
 
 
+def check_u64(value: int, what: str) -> int:
+    """``value``, or a ValueError naming ``what`` when it is not a 64-bit unsigned integer."""
+    if not 0 <= value < (1 << 64):
+        raise ValueError(f"{what} must be a 64-bit unsigned integer, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class RandomBitSource:
     """Independent uniform streams u(1), u(2), ... keyed by (seed, stream_id).
@@ -78,10 +85,8 @@ class RandomBitSource:
     stream_id: int = 0
 
     def __post_init__(self) -> None:
-        if not 0 <= self.seed < (1 << 64):
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if not 0 <= self.stream_id < (1 << 64):
-            raise ValueError(f"stream_id must be a 64-bit unsigned integer, got {self.stream_id}")
+        check_u64(self.seed, "seed")
+        check_u64(self.stream_id, "stream_id")
 
     def uniforms(self, stream_ids: np.ndarray, first: int, count: int) -> np.ndarray:
         """Raw 64-bit uniforms for many streams; row i is stream stream_ids[i]."""

@@ -198,11 +198,12 @@ class TestArith:
         doc = json.loads((tmp_path / "arith.json").read_text())
         assert sum(e["prob"] for e in doc["digits_distribution"]) == pytest.approx(1.0)
 
-    def test_invalid_rational_exits_2(self, tmp_path):
-        with pytest.raises(SystemExit) as err:
-            run_cli(["arith", "--model", json.dumps(BIASED_MODEL),
-                     "--constant", "3/0", "--depth", "4"], tmp_path)
-        assert err.value.code == 2
+    def test_invalid_rational_exits_2(self, tmp_path, capsys):
+        code = run_cli(["arith", "--model", json.dumps(BIASED_MODEL),
+                        "--constant", "3/0", "--depth", "4"], tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err == "fiq: error: zero denominator in rational '3/0'\n"
+        assert not (tmp_path / "arith.json").exists()
 
     @pytest.mark.parametrize("constant", ["1", "2"])
     def test_exact_mode_on_majority_model(self, tmp_path, constant):
@@ -565,6 +566,73 @@ class TestMalformedInput:
                         "--samples", "5", "--seed", "1"], tmp_path)
         assert code == 2
         assert "must be a JSON object" in capsys.readouterr().err
+
+
+class TestOneLineErrors:
+    """Every malformed invocation exits 2 with one stderr line ``fiq: error: <reason>``."""
+
+    SAMPLE_ARGV = ["sample", "--model", json.dumps(MAJORITY_MODEL), "--depth", "4", "--samples", "5"]
+    ARITH_ARGV = ["arith", "--model", json.dumps(MAJORITY_MODEL), "--depth", "4"]
+
+    @pytest.mark.parametrize("argv,reason", [
+        ([*SAMPLE_ARGV, "--seed", "x"], "seed must be a 64-bit unsigned integer, got 'x'"),
+        ([*SAMPLE_ARGV, "--seed", "-1"], "seed must be a 64-bit unsigned integer, got '-1'"),
+        ([*SAMPLE_ARGV, "--seed", str(1 << 64)], f"seed must be a 64-bit unsigned integer, got '{1 << 64}'"),
+        (["sample", "--depth", "4", "--samples", "5", "--seed", "1"],
+         "the following arguments are required: --model"),
+        ([], "the following arguments are required: command"),
+        ([*ARITH_ARGV, "--constant", "3/0"], "zero denominator in rational '3/0'"),
+        ([*ARITH_ARGV, "--constant", "abc"], "malformed rational 'abc'"),
+    ], ids=["seed-x", "seed-negative", "seed-2^64", "missing-model", "no-subcommand",
+            "constant-zero-denominator", "constant-malformed"])
+    def test_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch, argv, reason):
+        monkeypatch.chdir(tmp_path)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.rstrip("\n")] and err.startswith("fiq: error: ")
+        assert reason in err
+        for leak in ("usage:", "_seed_arg", "parse_rational"):
+            assert leak not in err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestDocumentSeedRange:
+    """A model's or spec's own seed and stream are range-checked even when a flag overrides them."""
+
+    @pytest.mark.parametrize("fields,message", [
+        ({"seed": 1 << 64, "stream": -2}, f"model field 'seed' must be a 64-bit unsigned integer, got {1 << 64}"),
+        ({"seed": -1}, "model field 'seed' must be a 64-bit unsigned integer, got -1"),
+        ({"stream": -2}, "model field 'stream' must be a 64-bit unsigned integer, got -2"),
+        ({"stream": 1 << 64}, f"model field 'stream' must be a 64-bit unsigned integer, got {1 << 64}"),
+    ])
+    def test_overridden_model_fields_exit_2(self, tmp_path, capsys, fields, message):
+        model = {**MAJORITY_MODEL, **fields}
+        code = run_cli(["sample", "--model", json.dumps(model), "--seed", "1", "--stream", "0",
+                        "--depth", "2", "--samples", "2"], tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err == f"fiq: error: {message}\n"
+        assert not (tmp_path / "samples.csv").exists()
+
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    def test_overridden_spec_seed_exits_2(self, tmp_path, capsys, seed):
+        spec = {"name": "majority:k3", "model": MAJORITY_MODEL, "depth": 4, "samples": 1000, "seed": seed}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        code = run_cli(["experiment", "majority", "--spec", str(spec_path), "--seed", "1"], tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"fiq: error: experiment spec field 'seed' must be a 64-bit unsigned integer, got {seed}\n")
+        assert not (tmp_path / "verdict.json").exists()
+
+    def test_largest_seed_and_stream_run(self, tmp_path):
+        top = (1 << 64) - 1
+        model = {**MAJORITY_MODEL, "seed": top, "stream": top - 1}
+        assert run_cli(["sample", "--model", json.dumps(model), "--seed", "1", "--stream", "0",
+                        "--depth", "2", "--samples", "2"], tmp_path) == 0
 
 
 class TestEntryPoint:

@@ -377,6 +377,13 @@ class TestSampleMatrix:
         got = sample_matrix(model, depth, n).bits
         assert np.array_equal(got, model.sample(np.arange(3, 3 + n, dtype=np.uint64), depth))
 
+    def test_bits_are_read_only(self):
+        s = sample_matrix(MajorityVoteModel(k=3, source=fair_source(seed=4)), 6, 10)
+        s.pair_counts
+        with pytest.raises(ValueError, match="read-only"):
+            s.bits[0, 0] = 1
+        assert np.array_equal(s.pair_counts, s.bits.T.astype(np.int64) @ s.bits.astype(np.int64))
+
     def test_calls_bounded_by_chunk_and_cover_every_row_once(self, monkeypatch):
         model = MajorityVoteModel(k=5, source=fair_source(seed=3, stream=7))
         depth, n = 6, 50

@@ -102,3 +102,19 @@ def test_numeral_string_is_rejected_by_schema_and_fiq(tmp_path, capsys, name, br
     err = capsys.readouterr().err
     assert repr(field) in err and len(err.splitlines()) == 1
     assert {path.name for path in tmp_path.iterdir()} <= {"spec.json"}  # nothing written
+
+
+@pytest.mark.parametrize("name,branch,field",
+                         [f for f in numeric_fields() if f[2] in ("seed", "stream")])
+@pytest.mark.parametrize("value", [-1, 1 << 64])
+def test_seed_and_stream_beyond_64_bits_are_rejected_by_schema_and_fiq(
+        tmp_path, capsys, name, branch, field, value):
+    doc = INPUT_DOCUMENTS[name][branch]
+    validate({**doc, field: (1 << 64) - 1}, name)
+    bad = {**doc, field: value}
+    with pytest.raises(jsonschema.ValidationError):
+        validate(bad, name)
+    assert run_with_document(name, bad, tmp_path) == 2  # the document's seed is checked though --seed overrides it
+    err = capsys.readouterr().err
+    assert f"field {field!r} must be a 64-bit unsigned integer, got {value}" in err and len(err.splitlines()) == 1
+    assert {path.name for path in tmp_path.iterdir()} <= {"spec.json"}  # nothing written

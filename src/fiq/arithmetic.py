@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -21,10 +21,13 @@ from .models import (
     FiqModel,
     SampleMatrix,
     check_enumeration_depth,
+    sample_chunk_rows,
+    sample_matrix,
     window_codes,
 )
 
 DIGIT_PAIR_POSITIONS = (1, 2, 3, 4)
+PREFIX_BATCH_CHUNKS = 16  # sample_matrix chunks per batch of sampled_prefix_counts
 
 DigitEntry = tuple[int, int] | None  # a ``scaled_digit_table`` entry: None or (cell, n)
 
@@ -232,3 +235,22 @@ def prefix_values(sample: SampleMatrix) -> np.ndarray:
 def prefix_counts(sample: SampleMatrix) -> list[int]:
     """Number of rows at each prefix value 0 .. 2^d - 1, as Python ints."""
     return np.bincount(prefix_values(sample), minlength=1 << sample.depth).tolist()
+
+
+def sampled_prefix_counts(model: FiqModel, depth: int, n_samples: int) -> list[int]:
+    """``prefix_counts(sample_matrix(model, depth, n_samples))``, drawn and counted a batch of rows at a time.
+
+    A batch is PREFIX_BATCH_CHUNKS whole chunks of rows, drawn by ``sample_matrix`` on the model with its
+    stream id moved to the batch's first row; rows are pure functions of their stream id, so the batches
+    hold the rows of the one big sample.  Each batch's prefix values are added into one 2^d int64
+    histogram, with no pass over its 2^d bins, so peak memory is the histogram plus one batch at any N.
+    The depth bound and the stream range are checked before any batch is drawn.
+    """
+    check_enumeration_depth(depth)
+    batch = PREFIX_BATCH_CHUNKS * sample_chunk_rows(model, depth, n_samples)
+    base = model.source.stream_id
+    counts = np.zeros(1 << depth, dtype=np.int64)
+    for start in range(0, n_samples, batch):
+        shifted = replace(model, source=replace(model.source, stream_id=base + start))
+        np.add.at(counts, prefix_values(sample_matrix(shifted, depth, min(batch, n_samples - start))), 1)
+    return counts.tolist()

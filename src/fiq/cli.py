@@ -24,7 +24,7 @@ import numpy as np
 from .errors import FiqError
 from .estimators import MIN_MI_SAMPLES, correlation_report, info_report
 from .experiments import RUNNERS, ExperimentSpec, preset_spec
-from .arithmetic import digit_law, prefix_counts, scale_fiq_truncated, scaled_digit_table
+from .arithmetic import digit_law, sampled_prefix_counts, scale_fiq_truncated, scaled_digit_table
 from .models import model_from_json, sample_matrix
 from .randombits import check_u64
 from .rational import format_rational, parse_rational
@@ -64,25 +64,34 @@ def _outdir(args) -> Path:
     return Path(args.out or os.environ.get("FIQ_OUTPUT_DIR", "."))
 
 
-def _load_model(args, seed):
-    """The model of --model: inline JSON if it starts with "{", else a path to a JSON file."""
+def _load_model(args, default_seed: int | None = None):
+    """The model of --model: inline JSON if it starts with "{", else a path to a JSON file.
+
+    --seed and --stream override the document's own; ``default_seed`` stands in when neither gives a seed.
+    """
     text = args.model.strip()
     doc = json.loads(text if text.startswith("{") else Path(text).read_text())
+    seed = args.seed if args.seed is not None or (isinstance(doc, dict) and "seed" in doc) else default_seed
     return model_from_json(doc, seed=seed, stream=args.stream)
 
 
-def _seed_arg(value: str) -> int:
-    try:
-        return check_u64(int(value), "seed")
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"seed must be a 64-bit unsigned integer, got {value!r}") from None
+def _u64_arg(flag: str):
+    """argparse type of a 64-bit unsigned flag: ASCII decimal digits only, so argv spells the value outputs echo."""
+    def parse(value: str) -> int:
+        try:
+            if value.isascii() and value.isdigit():
+                return check_u64(int(value), flag)
+        except ValueError:  # past 64 bits, or too many digits for int()
+            pass
+        raise argparse.ArgumentTypeError(f"{flag} must be a 64-bit unsigned integer, got {value!r}")
+    return parse
 
 
 def _add_model_flags(p: argparse.ArgumentParser, need_seed: bool = True) -> None:
     p.add_argument("--model", required=True, help="model JSON file or inline JSON")
-    p.add_argument("--seed", type=_seed_arg, required=need_seed,
+    p.add_argument("--seed", type=_u64_arg("seed"), required=need_seed,
                    help="64-bit seed (explicit; there is no time-based default)")
-    p.add_argument("--stream", type=int, default=None, help="base stream id")
+    p.add_argument("--stream", type=_u64_arg("stream"), default=None, help="base stream id")
 
 
 def _check_at_least_one(args, *flags: str) -> None:
@@ -95,7 +104,7 @@ def _check_at_least_one(args, *flags: str) -> None:
 
 def cmd_sample(args) -> int:
     _check_at_least_one(args, "depth", "samples")
-    model = _load_model(args, args.seed)
+    model = _load_model(args)
     s = sample_matrix(model, args.depth, args.samples)
     out = _outdir(args) / "samples.csv"
     # The CSV body as bytes: digit, comma, ..., digit, newline on each row.
@@ -113,7 +122,7 @@ def cmd_measure(args) -> int:
     if args.depth > 1 and args.samples < MIN_MI_SAMPLES:  # correlation_report estimates every pair's MI
         raise FiqError(f"--samples must be >= {MIN_MI_SAMPLES} for pairwise MI when --depth > 1, "
                        f"got {args.samples}")
-    model = _load_model(args, args.seed)
+    model = _load_model(args)
     s = sample_matrix(model, args.depth, args.samples)
     info = info_report(s, l_max=args.blocks)
     corr = correlation_report(s)
@@ -142,15 +151,14 @@ def cmd_measure(args) -> int:
 def cmd_arith(args) -> int:
     constant = parse_rational(args.constant)
     _check_at_least_one(args, "depth", *(["samples"] if args.mode == "sample" else []))
-    model = _load_model(args, args.seed if args.seed is not None else 0)
+    model = _load_model(args, default_seed=0)
     if args.mode == "exact":
         table, weights, total = scale_fiq_truncated(model, constant, args.depth)
     else:
         if args.seed is None:
             raise FiqError("--seed is required in sample mode")
         table = scaled_digit_table(constant, args.depth)  # checks the depth bound before sampling
-        s = sample_matrix(model, args.depth, args.samples)
-        weights, total = prefix_counts(s), args.samples
+        weights, total = sampled_prefix_counts(model, args.depth, args.samples), args.samples
     law = digit_law(table, weights)
     del table, weights  # 2^depth entries each: not held while the entries and JSON text are built
     entries = []
@@ -244,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=tuple(RUNNERS))
     p.add_argument("--preset", default=None)
     p.add_argument("--spec", default=None, help="experiment spec JSON file")
-    p.add_argument("--seed", type=_seed_arg, required=True)
+    p.add_argument("--seed", type=_u64_arg("seed"), required=True)
     p.set_defaults(func=cmd_experiment)
 
     return parser

@@ -30,6 +30,7 @@ from .arithmetic import (
     digit_pair_joints,
     leading_digits,
     prefix_counts,
+    sampled_prefix_counts,
     scale_fiq_truncated,
     scaled_digit_table,
 )
@@ -215,8 +216,7 @@ def run_units_critique(spec: ExperimentSpec) -> ExperimentVerdict:
         threshold=0.0,
     )]
 
-    sample = sample_matrix(model, spec.depth, spec.samples)
-    count_joints = digit_pair_joints(leading_digits(table, prefix_counts(sample)))
+    count_joints = digit_pair_joints(leading_digits(table, sampled_prefix_counts(model, spec.depth, spec.samples)))
 
     claims.append(_z_claim(
         "Monte Carlo digit-pair cells agree with the exact joint",
@@ -255,9 +255,9 @@ class _RecordingSource(RandomBitSource):
         super().__post_init__()
         object.__setattr__(self, "requests", [])
 
-    def uniforms(self, stream_ids, first, count):
+    def uniforms(self, stream_ids, first, count, work=None):
         self.requests.append((first, count))
-        return super().uniforms(stream_ids, first, count)
+        return super().uniforms(stream_ids, first, count, work)
 
 
 def consumed_source_indices(model: FiqModel, depth: int) -> set[int]:

@@ -72,8 +72,12 @@ class FiqModel(Protocol):
     source: RandomBitSource
     stationary: ClassVar[bool]  # shift-invariant across bit positions
 
-    def sample(self, stream_ids: np.ndarray, depth: int) -> np.ndarray:
-        """First ``depth`` bits of every stream; shape (len(stream_ids), depth), uint8."""
+    def sample(self, stream_ids: np.ndarray, depth: int, work: np.ndarray | None = None) -> np.ndarray:
+        """First ``depth`` bits of every stream; shape (len(stream_ids), depth), uint8.
+
+        ``work`` is a uint64 buffer of at least 2 * len(stream_ids) * generating_bits(depth) elements, handed to
+        the source's ``uniforms``.
+        """
 
     def generating_bits(self, depth: int) -> int:
         """Number of source bits that determine the first ``depth`` model bits."""
@@ -114,9 +118,9 @@ class MajorityVoteModel:
             raise ValueError(f"window length k must be an odd positive integer, got {self.k}")
         object.__setattr__(self, "bias", as_propensity(self.bias))
 
-    def sample(self, stream_ids: np.ndarray, depth: int) -> np.ndarray:
+    def sample(self, stream_ids: np.ndarray, depth: int, work: np.ndarray | None = None) -> np.ndarray:
         k = self.k
-        r = threshold_bits(self.source.uniforms(stream_ids, 1, depth + k - 1), [self.bias])
+        r = threshold_bits(self.source.uniforms(stream_ids, 1, depth + k - 1, work), [self.bias])
         # Window sums by doubling: spans[:, j] sums the m source bits from j, for m = 1, 2, 4, ...,
         # and a length-k window is the spans that k's binary digits select, laid end to end.
         # Every partial sum is at most k, so k's dtype holds it exactly.
@@ -161,10 +165,10 @@ class IndependentBitsModel:
     source: RandomBitSource
     stationary: ClassVar[bool] = False
 
-    def sample(self, stream_ids: np.ndarray, depth: int) -> np.ndarray:
+    def sample(self, stream_ids: np.ndarray, depth: int, work: np.ndarray | None = None) -> np.ndarray:
         # propensity_at rejects a depth past an unspecified tail before any uniform is drawn
         propensities = [self.pv.propensity_at(j + 1) for j in range(depth)]
-        return threshold_bits(self.source.uniforms(stream_ids, 1, depth), propensities)
+        return threshold_bits(self.source.uniforms(stream_ids, 1, depth, work), propensities)
 
     def generating_bits(self, depth: int) -> int:
         _check_nonnegative(depth)
@@ -297,25 +301,38 @@ def sample_prefix(model: FiqModel, depth: int, stream_id: int | None = None) -> 
     return BitPrefix(tuple(int(b) for b in row))
 
 
-def sample_matrix(model: FiqModel, depth: int, n_samples: int) -> SampleMatrix:
-    """N realizations on streams stream_id .. stream_id+N-1, one per row.
+def sample_chunk_rows(model: FiqModel, depth: int, n_samples: int) -> int:
+    """Rows of a ``sample_matrix`` chunk, at most SAMPLE_CHUNK_BITS source bits but at least one row.
 
-    Every stream id must fit in 64 bits.  Rows are drawn in the caller's thread,
-    in chunks of at most SAMPLE_CHUNK_BITS source bits, and written in place
-    into the column-major result, so peak memory is the result plus a fixed
-    amount.  Rows are pure functions of their stream id.  The bits are read-only.
+    Raises unless depth and n_samples are >= 1 and streams stream_id .. stream_id+N-1 fit in 64 bits.
     """
     if depth < 1 or n_samples < 1:
         raise ValueError("depth and n_samples must be >= 1")
     base = model.source.stream_id
     if base + n_samples > 1 << 64:
         raise ValueError(f"streams {base} .. {base + n_samples - 1} do not fit in 64 bits")
+    return max(1, SAMPLE_CHUNK_BITS // model.generating_bits(depth))
+
+
+def sample_matrix(model: FiqModel, depth: int, n_samples: int) -> SampleMatrix:
+    """N realizations on streams stream_id .. stream_id+N-1, one per row.
+
+    Every stream id must fit in 64 bits.  Rows are drawn in the caller's thread,
+    in chunks of ``sample_chunk_rows`` rows, and written in place into the
+    column-major result.  Every chunk's uniforms are built and mixed in one
+    work buffer, allocated once per call and dropped on return, so peak memory
+    is the result plus about 2 * 8 * SAMPLE_CHUNK_BITS bytes, and no chunk
+    allocates a temporary of its grid's size.  Rows are pure functions of
+    their stream id.  The bits are read-only.
+    """
+    rows = sample_chunk_rows(model, depth, n_samples)
+    base = model.source.stream_id
     columns = np.empty((depth, n_samples), dtype=np.uint8)
-    rows = max(1, SAMPLE_CHUNK_BITS // model.generating_bits(depth))
+    work = np.empty(2 * min(rows, n_samples) * model.generating_bits(depth), dtype=np.uint64)
     for start in range(0, n_samples, rows):
         stop = min(start + rows, n_samples)
         # the stream-minor bit source makes each chunk's transpose C-contiguous: depth runs copy in whole
-        columns[:, start:stop] = model.sample(np.arange(base + start, base + stop, dtype=np.uint64), depth).T
+        columns[:, start:stop] = model.sample(np.arange(base + start, base + stop, dtype=np.uint64), depth, work).T
     columns.flags.writeable = False
     return SampleMatrix(bits=columns.T, stationary=model.stationary)
 

@@ -26,13 +26,13 @@ _GAMMA = 0x9E3779B97F4A7C15
 _STREAM_GAMMA = 0xD1B54A32D192ED03
 
 
-def _mix(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer, elementwise and in place on a uint64 array; returns ``x``."""
-    x ^= x >> np.uint64(30)
+def _mix(x: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer, in place on a uint64 array, shifting into ``shifts`` of the same shape; returns ``x``."""
+    x ^= np.right_shift(x, np.uint64(30), out=shifts)
     x *= np.uint64(0xBF58476D1CE4E5B9)
-    x ^= x >> np.uint64(27)
+    x ^= np.right_shift(x, np.uint64(27), out=shifts)
     x *= np.uint64(0x94D049BB133111EB)
-    x ^= x >> np.uint64(31)
+    x ^= np.right_shift(x, np.uint64(31), out=shifts)
     return x
 
 
@@ -42,13 +42,25 @@ def bias_threshold(bias: Fraction) -> int:
     return (bias.numerator << 64) // bias.denominator
 
 
-def uniform64_grid(seed: int, stream_ids: np.ndarray, first: int, count: int) -> np.ndarray:
+def uniform64_grid(seed: int, stream_ids: np.ndarray, first: int, count: int,
+                   work: np.ndarray | None = None) -> np.ndarray:
     """64-bit uniforms for every (stream, index) pair; shape (len(streams), count).
 
     Built and mixed stream-minor, as a C-contiguous (count, len(streams)) array; the result is its transposed view.
+    ``work``, a uint64 buffer of at least 2 * len(streams) * count elements, holds that array and the shifted
+    copies it is mixed with, so no temporary of the grid's size is made: the result is then a view of ``work``,
+    valid until ``work`` is passed again.  Without it, both are allocated here.
     """
-    keys = _mix(_mix(np.full(1, seed, dtype=np.uint64))[0] + stream_ids.astype(np.uint64) * np.uint64(_STREAM_GAMMA))
-    return _mix(np.arange(first, first + count, dtype=np.uint64)[:, None] * np.uint64(_GAMMA) + keys).T
+    n = len(stream_ids)
+    size = n * count
+    grid = (np.empty(size, dtype=np.uint64) if work is None else work[:size]).reshape(count, n)
+    shifts = (np.empty(size, dtype=np.uint64) if work is None else work[size:2 * size]).reshape(count, n)
+    # the stream keys live in shifts' first row, mixed with the grid's first row as shifts, until the grid is built
+    keys = np.multiply(stream_ids.astype(np.uint64, copy=False), np.uint64(_STREAM_GAMMA), out=shifts[0])
+    keys += _mix(np.full(1, seed, dtype=np.uint64), np.empty(1, dtype=np.uint64))[0]
+    _mix(keys, grid[0])
+    np.add(np.arange(first, first + count, dtype=np.uint64)[:, None] * np.uint64(_GAMMA), keys, out=grid)
+    return _mix(grid, shifts).T
 
 
 def threshold_bits(u: np.ndarray, propensities: Sequence[Fraction]) -> np.ndarray:
@@ -88,6 +100,6 @@ class RandomBitSource:
         check_u64(self.seed, "seed")
         check_u64(self.stream_id, "stream_id")
 
-    def uniforms(self, stream_ids: np.ndarray, first: int, count: int) -> np.ndarray:
-        """Raw 64-bit uniforms for many streams; row i is stream stream_ids[i]."""
-        return uniform64_grid(self.seed, np.asarray(stream_ids), first, count)
+    def uniforms(self, stream_ids: np.ndarray, first: int, count: int, work: np.ndarray | None = None) -> np.ndarray:
+        """Raw 64-bit uniforms for many streams; row i is stream stream_ids[i].  ``work`` as in ``uniform64_grid``."""
+        return uniform64_grid(self.seed, np.asarray(stream_ids), first, count, work)

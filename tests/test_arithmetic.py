@@ -4,6 +4,8 @@ import itertools
 import json
 import random
 import tempfile
+import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fiq.arithmetic
+import fiq.models
 from fiq.arithmetic import (
     DIGIT_PAIR_POSITIONS,
     DeterminedDigits,
@@ -24,14 +28,22 @@ from fiq.arithmetic import (
     prefix_counts,
     prefix_to_interval,
     prefix_values,
+    sampled_prefix_counts,
     scale_by_constant,
     scale_fiq_truncated,
     scaled_digit_table,
 )
 from fiq.cli import main
 from fiq.errors import EnumerationBoundError
-from fiq.models import BitPrefix, IndependentBitsModel, SampleMatrix, sample_matrix
-from fiq.propensity import PropensityVector
+from fiq.models import (
+    BitPrefix,
+    IndependentBitsModel,
+    MajorityVoteModel,
+    SampleMatrix,
+    sample_chunk_rows,
+    sample_matrix,
+)
+from fiq.propensity import PropensityVector, TailPolicy
 from fiq.randombits import RandomBitSource
 from fiq.rational import format_rational
 
@@ -413,3 +425,86 @@ class TestPrefixValues:
         # past the bound a count list would hold 2^depth bins
         with pytest.raises(EnumerationBoundError):
             prefix_counts(SampleMatrix(np.ones((1, 21), dtype=np.uint8), stationary=False))
+
+
+TOP = 1 << 64
+
+STREAMED_MODELS = [
+    MajorityVoteModel(k=1, source=RandomBitSource(seed=3, stream_id=11)),
+    MajorityVoteModel(k=3, source=RandomBitSource(seed=3)),
+    MajorityVoteModel(k=5, source=RandomBitSource(seed=4, stream_id=7)),
+    MajorityVoteModel(k=3, source=RandomBitSource(seed=5), bias=Fraction(1, 3)),
+    IndependentBitsModel(pv=PropensityVector(["0", "1", "3/4", "1/5"], TailPolicy.HALF),
+                         source=RandomBitSource(seed=6)),
+    IndependentBitsModel(pv=PropensityVector(["1/3"] * 20), source=RandomBitSource(seed=7, stream_id=2)),
+]
+
+
+def with_stream(model, stream_id):
+    return replace(model, source=replace(model.source, stream_id=stream_id))
+
+
+class TestSampledPrefixCounts:
+    """The streaming counter equals ``prefix_counts`` of the whole sample, with peak memory of one batch."""
+
+    @pytest.mark.parametrize("model", STREAMED_MODELS)
+    @pytest.mark.parametrize("depth,n", [(1, 1), (1, 301), (12, 997), (20, 150)])
+    def test_matches_counts_of_the_whole_sample(self, model, depth, n):
+        got = sampled_prefix_counts(model, depth, n)
+        assert got == prefix_counts(sample_matrix(model, depth, n))
+        assert len(got) == 1 << depth and sum(got) == n
+
+    @pytest.mark.parametrize("model", STREAMED_MODELS)
+    @pytest.mark.parametrize("chunk_rows,batch_chunks", [(1, 1), (3, 2), (7, 5)])
+    @pytest.mark.parametrize("base", [0, TOP - 250])  # the last batch ends on the last 64-bit stream
+    def test_many_batches_of_whole_chunks(self, monkeypatch, model, chunk_rows, batch_chunks, base):
+        depth, n = 6, 250  # 250 rows is off every chunk and batch multiple below
+        model = with_stream(model, base)
+        expected = prefix_counts(sample_matrix(model, depth, n))
+        monkeypatch.setattr(fiq.models, "SAMPLE_CHUNK_BITS", chunk_rows * model.generating_bits(depth))
+        monkeypatch.setattr(fiq.arithmetic, "PREFIX_BATCH_CHUNKS", batch_chunks)
+        batches = []
+        real = fiq.arithmetic.sample_matrix
+
+        def recording(m, d, rows):
+            batches.append((m.source.stream_id, rows))
+            return real(m, d, rows)
+
+        monkeypatch.setattr(fiq.arithmetic, "sample_matrix", recording)
+        assert sampled_prefix_counts(model, depth, n) == expected
+        batch = chunk_rows * batch_chunks
+        assert batches == [(base + start, min(batch, n - start)) for start in range(0, n, batch)]
+
+    @pytest.mark.parametrize("model,depth,n,error", [
+        (with_stream(STREAMED_MODELS[1], TOP - 10), 4, 11, ValueError),  # one stream past 2^64
+        (STREAMED_MODELS[1], 21, 10, EnumerationBoundError),
+        (STREAMED_MODELS[4], 21, 10, EnumerationBoundError),
+        (STREAMED_MODELS[1], 0, 10, ValueError),
+        (STREAMED_MODELS[1], 4, 0, ValueError),
+    ])
+    def test_bad_range_or_depth_raises_before_any_batch(self, monkeypatch, model, depth, n, error):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("a batch was drawn before the arguments were checked")
+
+        monkeypatch.setattr(fiq.arithmetic, "sample_matrix", no_sampling)
+        with pytest.raises(error):
+            sampled_prefix_counts(model, depth, n)
+
+    def test_peak_memory_does_not_grow_with_n(self, monkeypatch):
+        model, depth = STREAMED_MODELS[1], 12
+        monkeypatch.setattr(fiq.models, "SAMPLE_CHUNK_BITS", 1 << 12)  # 292 rows a chunk: a quick run
+        batch_rows = fiq.arithmetic.PREFIX_BATCH_CHUNKS * sample_chunk_rows(model, depth, 1)
+        batch_bytes = batch_rows * (depth + 8)  # its bits and its int64 prefix values
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                sampled_prefix_counts(model, depth, n)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(3 * batch_rows), peak(30 * batch_rows)
+        assert abs(large - small) < batch_bytes
+        # the whole sample's bits alone would outgrow the small run's peak
+        assert 30 * batch_rows * depth > small

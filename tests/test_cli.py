@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+import fiq.arithmetic
 import fiq.cli
 import fiq.experiments
 import fiq.models
@@ -198,6 +199,24 @@ class TestArith:
         doc = json.loads((tmp_path / "arith.json").read_text())
         assert sum(e["prob"] for e in doc["digits_distribution"]) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("doc_seed,argv_seed,model_seed", [
+        (5, [], 5), (None, [], 0), (5, ["--seed", "7"], 7)])
+    def test_exact_mode_keeps_the_document_seed(self, tmp_path, doc_seed, argv_seed, model_seed):
+        model = {**MAJORITY_MODEL, **({} if doc_seed is None else {"seed": doc_seed})}
+        code = run_cli(["arith", "--model", json.dumps(model), "--constant", "3", "--depth", "3", *argv_seed],
+                       tmp_path)
+        assert code == 0
+        config = json.loads((tmp_path / "arith.json").read_text())["config"]
+        assert config["model"]["seed"] == model_seed
+        assert config["seed"] == (int(argv_seed[1]) if argv_seed else None)
+
+    def test_sample_mode_still_needs_seed_with_a_document_seed(self, tmp_path, capsys):
+        code = run_cli(["arith", "--mode", "sample", "--model", json.dumps({**MAJORITY_MODEL, "seed": 5}),
+                        "--constant", "3", "--depth", "3"], tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err == "fiq: error: --seed is required in sample mode\n"
+        assert not (tmp_path / "arith.json").exists()
+
     def test_invalid_rational_exits_2(self, tmp_path, capsys):
         code = run_cli(["arith", "--model", json.dumps(BIASED_MODEL),
                         "--constant", "3/0", "--depth", "4"], tmp_path)
@@ -381,6 +400,7 @@ class TestMalformedInput:
             raise AssertionError("sampled before the depth bound was checked")
 
         monkeypatch.setattr(fiq.cli, "sample_matrix", no_sampling)
+        monkeypatch.setattr(fiq.arithmetic, "sample_matrix", no_sampling)
         code = run_cli(["arith", "--mode", "sample", "--model", json.dumps(MAJORITY_MODEL),
                         "--constant", "3", "--depth", "21", "--samples", "1000", "--seed", "1"],
                        tmp_path)
@@ -421,6 +441,7 @@ class TestMalformedInput:
             raise AssertionError("sampled before the unspecified tail was checked")
 
         monkeypatch.setattr(fiq.experiments, "sample_matrix", no_sampling)
+        monkeypatch.setattr(fiq.arithmetic, "sample_matrix", no_sampling)
         spec = {"name": "units:unspecified-tail", "model": UNSPECIFIED_TAIL_MODEL,
                 "depth": 12, "samples": 1000, "constant": "3"}
         spec_path = tmp_path / "spec.json"
@@ -508,6 +529,7 @@ class TestMalformedInput:
             raise AssertionError("sampled before --depth and --samples were checked")
 
         monkeypatch.setattr(fiq.cli, "sample_matrix", no_sampling)
+        monkeypatch.setattr(fiq.arithmetic, "sample_matrix", no_sampling)
         code = run_cli([*command, "--model", json.dumps(MAJORITY_MODEL), "--depth", depth,
                         "--samples", samples, "--seed", "1"], tmp_path)
         assert code == 2
@@ -578,12 +600,24 @@ class TestOneLineErrors:
         ([*SAMPLE_ARGV, "--seed", "x"], "seed must be a 64-bit unsigned integer, got 'x'"),
         ([*SAMPLE_ARGV, "--seed", "-1"], "seed must be a 64-bit unsigned integer, got '-1'"),
         ([*SAMPLE_ARGV, "--seed", str(1 << 64)], f"seed must be a 64-bit unsigned integer, got '{1 << 64}'"),
+        ([*SAMPLE_ARGV, "--seed", "1_0"], "seed must be a 64-bit unsigned integer, got '1_0'"),
+        ([*SAMPLE_ARGV, "--seed", "\u0661"], "seed must be a 64-bit unsigned integer, got '\u0661'"),
+        ([*SAMPLE_ARGV, "--seed", " 1"], "seed must be a 64-bit unsigned integer, got ' 1'"),
+        ([*SAMPLE_ARGV, "--seed", "9" * 5000], "seed must be a 64-bit unsigned integer, got '999"),
+        (["experiment", "units", "--preset", "biased-x3", "--seed", "1_0"],
+         "seed must be a 64-bit unsigned integer, got '1_0'"),
+        ([*SAMPLE_ARGV, "--seed", "1", "--stream", "-1"], "stream must be a 64-bit unsigned integer, got '-1'"),
+        ([*SAMPLE_ARGV, "--seed", "1", "--stream", str(1 << 64)],
+         f"stream must be a 64-bit unsigned integer, got '{1 << 64}'"),
+        ([*SAMPLE_ARGV, "--seed", "1", "--stream", "1_0"], "stream must be a 64-bit unsigned integer, got '1_0'"),
         (["sample", "--depth", "4", "--samples", "5", "--seed", "1"],
          "the following arguments are required: --model"),
         ([], "the following arguments are required: command"),
         ([*ARITH_ARGV, "--constant", "3/0"], "zero denominator in rational '3/0'"),
         ([*ARITH_ARGV, "--constant", "abc"], "malformed rational 'abc'"),
-    ], ids=["seed-x", "seed-negative", "seed-2^64", "missing-model", "no-subcommand",
+    ], ids=["seed-x", "seed-negative", "seed-2^64", "seed-underscore", "seed-arabic-indic-digit",
+            "seed-leading-space", "seed-5000-digits", "experiment-seed-underscore", "stream-negative",
+            "stream-2^64", "stream-underscore", "missing-model", "no-subcommand",
             "constant-zero-denominator", "constant-malformed"])
     def test_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch, argv, reason):
         monkeypatch.chdir(tmp_path)
@@ -595,7 +629,7 @@ class TestOneLineErrors:
         err = capsys.readouterr().err
         assert err.splitlines() == [err.rstrip("\n")] and err.startswith("fiq: error: ")
         assert reason in err
-        for leak in ("usage:", "_seed_arg", "parse_rational"):
+        for leak in ("usage:", "_seed_arg", "_u64_arg", "stream_id", "parse_rational"):
             assert leak not in err
         assert list(tmp_path.iterdir()) == []
 

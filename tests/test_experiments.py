@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 import pytest
@@ -13,6 +13,7 @@ from fiq.errors import EnumerationBoundError
 from fiq.experiments import (
     PRESETS,
     ExperimentSpec,
+    _RecordingSource,
     consumed_source_indices,
     preset_spec,
     run_majority_study,
@@ -142,6 +143,19 @@ class TestConsumedIndices:
         model = IndependentBitsModel(pv=PropensityVector([]),
                                      source=RandomBitSource(seed=2))
         assert consumed_source_indices(model, 7) == set(range(1, 8))
+
+    @pytest.mark.parametrize("model,depth", [
+        (MajorityVoteModel(k=5, source=RandomBitSource(seed=2, stream_id=3)), 9),
+        (IndependentBitsModel(pv=PropensityVector([]), source=RandomBitSource(seed=2)), 7),
+    ])
+    def test_chunks_with_a_work_buffer_request_the_same_indices(self, monkeypatch, model, depth):
+        # every sample_matrix chunk hands its source the one work buffer; the requests and bits are unchanged
+        monkeypatch.setattr(fiq.models, "SAMPLE_CHUNK_BITS", 4 * model.generating_bits(depth))
+        recorder = _RecordingSource(**asdict(model.source))
+        bits = sample_matrix(replace(model, source=recorder), depth, 10).bits
+        assert recorder.requests == [(1, model.generating_bits(depth))] * 3
+        assert bits.tolist() == sample_matrix(model, depth, 10).bits.tolist()
+        assert consumed_source_indices(model, depth) == set(range(1, model.generating_bits(depth) + 1))
 
 
 class TestUnitsOnMajority:

@@ -331,11 +331,11 @@ class TestSampleMatrix:
         sample = MajorityVoteModel.sample
         starts = []
 
-        def failing_sample(self, stream_ids, depth):
+        def failing_sample(self, stream_ids, depth, work=None):
             starts.append(int(stream_ids[0]))
             if stream_ids[0] == failing_start:
                 raise error
-            return sample(self, stream_ids, depth)
+            return sample(self, stream_ids, depth, work)
 
         monkeypatch.setattr(MajorityVoteModel, "sample", failing_sample)
         model = MajorityVoteModel(k=3, source=fair_source())
@@ -391,9 +391,9 @@ class TestSampleMatrix:
         calls = []
         sample = MajorityVoteModel.sample
 
-        def recording_sample(self, stream_ids, d):
+        def recording_sample(self, stream_ids, d, work=None):
             calls.append(stream_ids.copy())
-            return sample(self, stream_ids, d)
+            return sample(self, stream_ids, d, work)
 
         monkeypatch.setattr(MajorityVoteModel, "sample", recording_sample)
         sample_matrix(model, depth, n)

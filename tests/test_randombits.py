@@ -34,8 +34,8 @@ def oracle_uniform(seed, stream_id, n):
 class ContiguousSource(RandomBitSource):
     """The same uniforms, handed out as a C-contiguous copy of the grid."""
 
-    def uniforms(self, stream_ids, first, count):
-        return np.ascontiguousarray(super().uniforms(stream_ids, first, count))
+    def uniforms(self, stream_ids, first, count, work=None):
+        return np.ascontiguousarray(super().uniforms(stream_ids, first, count, work))
 
 
 class TestKnownAnswers:
@@ -54,6 +54,19 @@ class TestKnownAnswers:
         assert u.shape == (4681, 14) and u.T.flags.c_contiguous
         for i in [*range(0, 4681, 97), 4680]:
             assert u[i, ::3].tolist() == [oracle_uniform(seed, base + i, n) for n in range(1, 15, 3)]
+
+    @pytest.mark.parametrize("seed,base", [(2, 1), (TOP - 1, TOP - 4681)])
+    def test_work_buffer_keeps_every_value(self, seed, base):
+        streams = np.arange(base, base + 4681, dtype=np.uint64)
+        expected = uniform64_grid(seed, streams, 1, 14)
+        work = np.full(2 * 4681 * 14 + 3, MASK, dtype=np.uint64)  # stale contents and spare room
+        got = uniform64_grid(seed, streams, 1, 14, work)
+        assert np.shares_memory(got, work) and got.T.flags.c_contiguous
+        assert np.array_equal(got, expected)
+        # a last, partial chunk reuses the front of the same buffer
+        assert np.array_equal(uniform64_grid(seed, streams[:100], 1, 14, work), expected[:100])
+        assert uniform64_grid(seed, streams[:3], 5, 2, work).tolist() == [
+            [oracle_uniform(seed, base + i, n) for n in (5, 6)] for i in range(3)]
 
     @pytest.mark.parametrize("model", [
         MajorityVoteModel(k=3, source=RandomBitSource(seed=2, stream_id=5)),

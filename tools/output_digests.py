@@ -13,6 +13,8 @@ The command set is taken from this checkout, so both runs see the same argv:
   and --threads 1 and 2;
 - the commands of every bench/workloads.py workload (the k=11 spec included),
   at seeds 1 and 2;
+- a few edge cases: sampled arith on the last 64-bit streams, and exact arith
+  without --seed on a model that carries its own;
 - a few malformed inputs.
 """
 
@@ -37,11 +39,21 @@ SEEDS = ("1", "2")
 MAJORITY_K3 = json.dumps({"type": "majority", "k": 3})
 SAMPLE = ["sample", "--model", MAJORITY_K3, "--depth", "4", "--samples", "5"]
 ARITH = ["arith", "--model", MAJORITY_K3, "--depth", "4"]
+LAST_STREAMS = 200_000  # three batches of sampled prefix counts at k=3, d=12
+EDGES = {
+    "arith-sample-last-streams": ["arith", "--mode", "sample", "--model", MAJORITY_K3, "--constant", "3",
+                                  "--depth", "12", "--samples", str(LAST_STREAMS), "--seed", "1",
+                                  "--stream", str((1 << 64) - LAST_STREAMS)],
+    "arith-exact-document-seed": ["arith", "--model", json.dumps({"type": "majority", "k": 3, "seed": 5}),
+                                  "--constant", "3", "--depth", "6"],
+}
 MALFORMED = {
     "no-subcommand": [],
     "seed-not-a-number": [*SAMPLE, "--seed", "x"],
     "seed-negative": [*SAMPLE, "--seed", "-1"],
     "seed-2^64": [*SAMPLE, "--seed", str(1 << 64)],
+    "seed-underscore": [*SAMPLE, "--seed", "1_0"],
+    "stream-negative": [*SAMPLE, "--seed", "1", "--stream", "-1"],
     "model-missing": ["sample", "--depth", "4", "--samples", "5", "--seed", "1"],
     "model-file-missing": ["sample", "--model", "no-such-model.json", "--depth", "4", "--samples", "5",
                            "--seed", "1"],
@@ -73,6 +85,7 @@ def command_set(input_dir: Path) -> dict[str, list[str]]:
         for name, workload in WORKLOADS.items():
             for command in workload.commands(int(seed), input_dir):
                 commands[f"bench:{name}:{command.label}:seed{seed}"] = list(command.argv)
+    commands.update({f"edge:{label}": argv for label, argv in EDGES.items()})
     commands.update({f"malformed:{label}": argv for label, argv in MALFORMED.items()})
     return commands
 

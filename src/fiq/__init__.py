@@ -2,6 +2,7 @@
 sound digit arithmetic and information estimators."""
 
 from .arithmetic import (
+    BitPrefix,
     DeterminedDigits,
     PartialNumber,
     determined_digits,
@@ -33,14 +34,12 @@ from .estimators import (
     pairwise_mi,
 )
 from .models import (
-    BitPrefix,
     FiqModel,
     IndependentBitsModel,
     MajorityVoteModel,
     exact_window_joint,
     model_from_json,
     sample_matrix,
-    sample_prefix,
 )
 from .propensity import (
     InfoContent,

@@ -17,7 +17,6 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .models import (
-    BitPrefix,
     FiqModel,
     SampleMatrix,
     check_enumeration_depth,
@@ -30,6 +29,33 @@ DIGIT_PAIR_POSITIONS = (1, 2, 3, 4)
 PREFIX_BATCH_CHUNKS = 16  # sample_matrix chunks per batch of sampled_prefix_counts
 
 DigitEntry = tuple[int, int] | None  # a ``scaled_digit_table`` entry: None or (cell, n)
+
+
+@dataclass(frozen=True)
+class BitPrefix:
+    """The first d realized bits after the binary point.
+
+    Denotes the dyadic interval [v, v + 2^-d) with v = sum bits_i 2^-i.
+    """
+
+    bits: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if any(b not in (0, 1) for b in self.bits):
+            raise ValueError("prefix bits must be 0 or 1")
+        object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
+
+    @property
+    def depth(self) -> int:
+        return len(self.bits)
+
+    @property
+    def value(self) -> Fraction:
+        """Left endpoint of the dyadic interval."""
+        num = 0
+        for b in self.bits:
+            num = (num << 1) | b
+        return Fraction(num, 1 << self.depth)
 
 
 @dataclass(frozen=True)

@@ -51,7 +51,6 @@ from .models import (
     exact_window_joint,
     model_from_json,
     sample_matrix,
-    sample_prefix,
 )
 from .propensity import HALF
 from .randombits import RandomBitSource, check_u64
@@ -261,10 +260,9 @@ class _RecordingSource(RandomBitSource):
 
 
 def consumed_source_indices(model: FiqModel, depth: int) -> set[int]:
-    """Source bit indices actually requested when sampling to ``depth``."""
+    """Source bit indices requested by ``sample_matrix`` when it draws one row to ``depth``."""
     recorder = _RecordingSource(**asdict(model.source))
-    instrumented = replace(model, source=recorder)
-    sample_prefix(instrumented, depth)
+    sample_matrix(replace(model, source=recorder), depth, 1)
     consumed: set[int] = set()
     for first, count in recorder.requests:
         consumed.update(range(first, first + count))

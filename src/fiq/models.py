@@ -35,33 +35,6 @@ MAX_BLOCK_LENGTH = 16  # longest block whose window counts are read
 SAMPLE_CHUNK_BITS = 1 << 16  # source bits per sample_matrix chunk; 2^17 and up measured slower
 
 
-@dataclass(frozen=True)
-class BitPrefix:
-    """The first d realized bits after the binary point.
-
-    Denotes the dyadic interval [v, v + 2^-d) with v = sum bits_i 2^-i.
-    """
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("prefix bits must be 0 or 1")
-        object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
-
-    @property
-    def depth(self) -> int:
-        return len(self.bits)
-
-    @property
-    def value(self) -> Fraction:
-        """Left endpoint of the dyadic interval."""
-        num = 0
-        for b in self.bits:
-            num = (num << 1) | b
-        return Fraction(num, 1 << self.depth)
-
-
 class FiqModel(Protocol):
     """A bit-generating model: what sampling, exact digit laws, experiments and the CLI rely on.
 
@@ -290,15 +263,6 @@ def window_codes(bits: np.ndarray, length: int) -> Iterator[np.ndarray]:
         code <<= 1
         code += bits[:, t]
         yield code
-
-
-def sample_prefix(model: FiqModel, depth: int, stream_id: int | None = None) -> BitPrefix:
-    """One realization of the first ``depth`` bits, deterministic in the source."""
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
-    sid = model.source.stream_id if stream_id is None else stream_id
-    row = model.sample(np.array([sid], dtype=np.uint64), depth)[0]
-    return BitPrefix(tuple(int(b) for b in row))
 
 
 def sample_chunk_rows(model: FiqModel, depth: int, n_samples: int) -> int:

@@ -17,6 +17,7 @@ import mpmath
 import numpy as np
 
 from fiq.arithmetic import (
+    BitPrefix,
     digit_pair_joints,
     leading_digits,
     prefix_to_interval,
@@ -36,7 +37,6 @@ from fiq.estimators import (
 )
 from fiq.experiments import consumed_source_indices
 from fiq.models import (
-    BitPrefix,
     IndependentBitsModel,
     MajorityVoteModel,
     exact_window_joint,

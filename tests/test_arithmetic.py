@@ -18,6 +18,7 @@ import fiq.arithmetic
 import fiq.models
 from fiq.arithmetic import (
     DIGIT_PAIR_POSITIONS,
+    BitPrefix,
     DeterminedDigits,
     PartialNumber,
     determined_digits,
@@ -36,7 +37,6 @@ from fiq.arithmetic import (
 from fiq.cli import main
 from fiq.errors import EnumerationBoundError
 from fiq.models import (
-    BitPrefix,
     IndependentBitsModel,
     MajorityVoteModel,
     SampleMatrix,
@@ -69,6 +69,10 @@ class TestPrefixToInterval:
     def test_width_is_dyadic(self):
         p = BitPrefix((1, 0, 1, 1))
         assert prefix_to_interval(p).width == Fraction(1, 16)
+
+    def test_prefix_value(self):
+        assert BitPrefix((1, 0, 1)).value == Fraction(5, 8)
+        assert BitPrefix(()).value == 0
 
 
 class TestScaleAndAdd:

@@ -139,6 +139,12 @@ class TestConsumedIndices:
             for d in (1, 4, 9):
                 assert consumed_source_indices(model, d) == set(range(1, d + k))
 
+    def test_k11_spec_model_at_every_depth(self):
+        # the benchmark's k=11 spec: majority k=11, depth 16; claim (iv) asks at every depth up to it
+        model = MajorityVoteModel(k=11, source=RandomBitSource(seed=1))
+        for d in range(1, 17):
+            assert consumed_source_indices(model, d) == set(range(1, d + 11))
+
     def test_independent_consumes_one_per_bit(self):
         model = IndependentBitsModel(pv=PropensityVector([]),
                                      source=RandomBitSource(seed=2))

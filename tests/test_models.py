@@ -14,14 +14,12 @@ from fiq.errors import DepthBeyondKnowledgeError, EnumerationBoundError
 from fiq.jsonfields import json_float, json_int, json_rational
 from fiq.models import (
     EXACT_ENUMERATION_MAX_DEPTH,
-    BitPrefix,
     IndependentBitsModel,
     MajorityVoteModel,
     SampleMatrix,
     exact_window_joint,
     model_from_json,
     sample_matrix,
-    sample_prefix,
     window_codes,
 )
 from fiq.propensity import PropensityVector, TailPolicy
@@ -145,19 +143,25 @@ class TestModels:
         with pytest.raises(ValueError, match="model field 'k' must be an integer, got 3.5"):
             model_from_json({"type": "majority", "k": 3.5}, seed=1)
 
-class TestSamplePrefix:
+
+def one_row(model, depth):
+    """The single row of ``sample_matrix(model, depth, 1)``, as a tuple of ints."""
+    return tuple(sample_matrix(model, depth, 1).bits[0].tolist())
+
+
+class TestSingleRow:
     def test_deterministic_propensities(self):
         pv = PropensityVector([1, 0, 1])
         model = IndependentBitsModel(pv=pv, source=fair_source())
-        assert sample_prefix(model, 3).bits == (1, 0, 1)
+        assert one_row(model, 3) == (1, 0, 1)
 
     def test_k1_equals_raw_source(self):
         src = fair_source(seed=77)
         model = MajorityVoteModel(k=1, source=src)
-        got = sample_prefix(model, 12).bits
+        got = one_row(model, 12)
         assert got == tuple(source_bits(src, 0, 12, Fraction(1, 2)))
         third = MajorityVoteModel(k=1, source=src, bias=Fraction(1, 3))
-        assert sample_prefix(third, 12).bits == tuple(source_bits(src, 0, 12, Fraction(1, 3)))
+        assert one_row(third, 12) == tuple(source_bits(src, 0, 12, Fraction(1, 3)))
 
     def test_sliding_window_matches_pure_python_oracle(self):
         src = fair_source(seed=5)
@@ -165,22 +169,18 @@ class TestSamplePrefix:
         model = MajorityVoteModel(k=k, source=src)
         r = source_bits(src, 0, depth + k - 1, Fraction(1, 2))
         expected = tuple(majority(r[j:j + k]) for j in range(depth))
-        assert sample_prefix(model, depth).bits == expected
+        assert one_row(model, depth) == expected
 
     def test_unspecified_tail_depth_limit(self):
         pv = PropensityVector(["3/4", "3/4"], TailPolicy.UNSPECIFIED)
         model = IndependentBitsModel(pv=pv, source=fair_source())
-        assert sample_prefix(model, 2).depth == 2
+        assert sample_matrix(model, 2, 1).depth == 2
         with pytest.raises(DepthBeyondKnowledgeError):
-            sample_prefix(model, 3)
+            sample_matrix(model, 3, 1)
 
     def test_reproducible(self):
         model = MajorityVoteModel(k=3, source=fair_source(seed=123))
-        assert sample_prefix(model, 20) == sample_prefix(model, 20)
-
-    def test_prefix_value(self):
-        assert BitPrefix((1, 0, 1)).value == Fraction(5, 8)
-        assert BitPrefix(()).value == 0
+        assert one_row(model, 20) == one_row(model, 20)
 
 
 def slow_window_codes(bits, length):
@@ -277,7 +277,7 @@ class TestSampleMatrix:
         model = MajorityVoteModel(k=3, source=fair_source(seed=8))
         s = sample_matrix(model, 8, 5)
         for i in range(5):
-            assert tuple(int(b) for b in s.bits[i]) == sample_prefix(model, 8, stream_id=i).bits
+            assert s.bits[i].tolist() == model.sample(np.array([i], dtype=np.uint64), 8)[0].tolist()
 
     @pytest.mark.parametrize("model", [
         IndependentBitsModel(pv=PropensityVector(["1", "0", "1/3", "3/4"], tail=TailPolicy.HALF),
@@ -406,7 +406,7 @@ class TestSampleMatrix:
         model = MajorityVoteModel(k=3, source=fair_source(stream=top))
         # the last five stream ids are usable; one row more would wrap to stream 0
         last = sample_matrix(model, 4, 5)
-        assert tuple(int(b) for b in last.bits[4]) == sample_prefix(model, 4, stream_id=top + 4).bits
+        assert last.bits[4].tolist() == model.sample(np.array([top + 4], dtype=np.uint64), 4)[0].tolist()
         with pytest.raises(ValueError, match="64 bits"):
             sample_matrix(model, 4, 6)
 

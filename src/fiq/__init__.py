@@ -37,8 +37,10 @@ from .models import (
     FiqModel,
     IndependentBitsModel,
     MajorityVoteModel,
+    count_rows,
     exact_window_joint,
     model_from_json,
+    sample_batches,
     sample_matrix,
 )
 from .propensity import (

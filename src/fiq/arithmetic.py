@@ -10,23 +10,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .models import (
-    FiqModel,
-    SampleMatrix,
-    check_enumeration_depth,
-    sample_chunk_rows,
-    sample_matrix,
-    window_codes,
-)
+from .models import FiqModel, check_enumeration_depth, sample_batches, window_codes
 
 DIGIT_PAIR_POSITIONS = (1, 2, 3, 4)
-PREFIX_BATCH_CHUNKS = 16  # sample_matrix chunks per batch of sampled_prefix_counts
 
 DigitEntry = tuple[int, int] | None  # a ``scaled_digit_table`` entry: None or (cell, n)
 
@@ -245,38 +237,27 @@ def scale_fiq_truncated(model: FiqModel, c: Fraction, depth: int) -> tuple[list[
     """Exact law of the determined digits of c * Q at depth d: ``(table, weights, denominator)``.
 
     ``scaled_digit_table(c, depth)``, checking the depth bound before any weight is built, then
-    ``model.prefix_weights(depth)``: the shape of a sample's table, ``prefix_counts`` and size.
+    ``model.prefix_weights(depth)``: the shape of a sample's table, ``sampled_prefix_counts`` and size.
     """
     table = scaled_digit_table(c, depth)
     weights, denominator = model.prefix_weights(depth)
     return table, weights, denominator
 
 
-def prefix_values(sample: SampleMatrix) -> np.ndarray:
-    """Int64 value sum bits_j 2^(d-j) of every row, an index into a 2^d table: d is bounded like every table."""
-    check_enumeration_depth(sample.depth)
-    return next(window_codes(sample.bits, sample.depth))
-
-
-def prefix_counts(sample: SampleMatrix) -> list[int]:
-    """Number of rows at each prefix value 0 .. 2^d - 1, as Python ints."""
-    return np.bincount(prefix_values(sample), minlength=1 << sample.depth).tolist()
+def prefix_values(bits: np.ndarray) -> np.ndarray:
+    """Int64 value sum bits_j 2^(d-j) of each row of (N, d) bits, an index into a 2^d table: d is bounded."""
+    check_enumeration_depth(bits.shape[1])
+    return next(window_codes(bits, bits.shape[1]))
 
 
 def sampled_prefix_counts(model: FiqModel, depth: int, n_samples: int) -> list[int]:
-    """``prefix_counts(sample_matrix(model, depth, n_samples))``, drawn and counted a batch of rows at a time.
+    """Rows of ``sample_matrix(model, depth, n_samples)`` at each prefix value 0 .. 2^d - 1, as Python ints.
 
-    A batch is PREFIX_BATCH_CHUNKS whole chunks of rows, drawn by ``sample_matrix`` on the model with its
-    stream id moved to the batch's first row; rows are pure functions of their stream id, so the batches
-    hold the rows of the one big sample.  Each batch's prefix values are added into one 2^d int64
-    histogram, with no pass over its 2^d bins, so peak memory is the histogram plus one batch at any N.
-    The depth bound and the stream range are checked before any batch is drawn.
+    Each ``sample_batches`` batch's prefix values are added into one 2^d histogram, with no Gram matrix, so peak
+    memory is the histogram plus one batch at any N.  Depth and stream range are checked before any batch.
     """
     check_enumeration_depth(depth)
-    batch = PREFIX_BATCH_CHUNKS * sample_chunk_rows(model, depth, n_samples)
-    base = model.source.stream_id
     counts = np.zeros(1 << depth, dtype=np.int64)
-    for start in range(0, n_samples, batch):
-        shifted = replace(model, source=replace(model.source, stream_id=base + start))
-        np.add.at(counts, prefix_values(sample_matrix(shifted, depth, min(batch, n_samples - start))), 1)
+    for bits in sample_batches(model, depth, n_samples):
+        np.add.at(counts, prefix_values(bits), 1)
     return counts.tolist()

@@ -25,7 +25,7 @@ from .errors import FiqError
 from .estimators import MIN_MI_SAMPLES, correlation_report, info_report
 from .experiments import RUNNERS, ExperimentSpec, preset_spec
 from .arithmetic import digit_law, sampled_prefix_counts, scale_fiq_truncated, scaled_digit_table
-from .models import model_from_json, sample_matrix
+from .models import MAX_BLOCK_LENGTH, count_rows, model_from_json, sample_batches, sample_matrix
 from .randombits import check_u64
 from .rational import format_rational, parse_rational
 
@@ -105,13 +105,13 @@ def _check_at_least_one(args, *flags: str) -> None:
 def cmd_sample(args) -> int:
     _check_at_least_one(args, "depth", "samples")
     model = _load_model(args)
-    s = sample_matrix(model, args.depth, args.samples)
+    bits = sample_matrix(model, args.depth, args.samples)
     out = _outdir(args) / "samples.csv"
     # The CSV body as bytes: digit, comma, ..., digit, newline on each row.
-    body = np.full((s.n_samples, 2 * s.depth), ord(","), dtype=np.uint8)
-    np.add(s.bits, ord("0"), out=body[:, 0::2])
+    body = np.full((args.samples, 2 * args.depth), ord(","), dtype=np.uint8)
+    np.add(bits, ord("0"), out=body[:, 0::2])
     body[:, -1] = ord("\n")
-    header = ",".join(f"bit_{j + 1}" for j in range(s.depth)) + "\n"
+    header = ",".join(f"bit_{j + 1}" for j in range(args.depth)) + "\n"
     _write_atomic(out, b"".join((header.encode(), body)))  # one copy of the body's buffer
     print(out)
     return EXIT_OK
@@ -123,7 +123,8 @@ def cmd_measure(args) -> int:
         raise FiqError(f"--samples must be >= {MIN_MI_SAMPLES} for pairwise MI when --depth > 1, "
                        f"got {args.samples}")
     model = _load_model(args)
-    s = sample_matrix(model, args.depth, args.samples)
+    s = count_rows(sample_batches(model, args.depth, args.samples), args.depth, model.stationary,
+                   min(args.depth, MAX_BLOCK_LENGTH))
     info = info_report(s, l_max=args.blocks)
     corr = correlation_report(s)
     doc = {

@@ -2,8 +2,10 @@
 
 All estimators come in two layers: a distribution layer that evaluates the
 plug-in functional on an explicit (possibly exact-rational) distribution, and
-a sampling layer that builds the empirical distribution from a SampleMatrix
-and adds the finite-sample corrections.  The split lets tests check estimator
+a sampling layer that builds the empirical distribution from the integer
+counts of a SampleMatrix and adds the finite-sample corrections.  The counts
+are summed batch by batch as the rows are drawn (``models.count_rows``), so
+no estimator sees the bits.  The split lets tests check estimator
 correctness on exact enumerated joints, separately from sampling noise.
 """
 
@@ -98,10 +100,7 @@ def correlated_info_from_dist(dist: Mapping[tuple, object]) -> "CandidateMeasure
 
 
 def pairwise_joint_counts(s: SampleMatrix, i: int, j: int) -> dict[tuple[int, int], int]:
-    """2x2 counts of columns i and j, keyed (bit i, bit j), read off ``s.pair_counts``.
-
-    Those counts are computed once per sample; ``sample_matrix``'s bits are read-only.
-    """
+    """2x2 counts of columns i and j, keyed (bit i, bit j), read off ``s.pair_counts``."""
     g = s.pair_counts
     n11 = int(g[i, j])
     return {(0, 0): s.n_samples - int(g[i, i]) - int(g[j, j]) + n11, (0, 1): int(g[j, j]) - n11,
@@ -158,16 +157,9 @@ def block_entropy(s: SampleMatrix, block_length: int, *, first_window: bool = Fa
 
     Windows are pooled across positions only for stationary processes;
     otherwise, or with ``first_window``, the block starts at position 1.  The
-    counts are read off ``s.window_counts``, built once per sample from bits
-    that ``sample_matrix`` returns read-only.
+    counts are read off ``s.window_counts``, which rejects a block length
+    outside 1 .. the sample's read length.
     """
-    if block_length < 1:
-        raise ValueError("block length must be >= 1")
-    if block_length > min(s.depth, MAX_BLOCK_LENGTH):
-        raise ValueError(
-            f"block length {block_length} exceeds sampled depth {s.depth} "
-            f"or the cap {MAX_BLOCK_LENGTH}"
-        )
     first, pooled = s.window_counts(block_length)
     counts = first if first_window else pooled
     n = int(counts.sum())
@@ -187,7 +179,7 @@ def entropy_rate(s: SampleMatrix, l_max: int) -> EntropyRateEstimate:
     """
     if l_max < 1:
         raise ValueError("l_max must be >= 1")
-    hs = [block_entropy(s, L) for L in range(l_max, 0, -1)][::-1]  # longest first: rows are read once
+    hs = [block_entropy(s, L) for L in range(1, l_max + 1)]
     return EntropyRateEstimate(rate=hs[-1] - (hs[-2] if l_max > 1 else 0.0), block_entropies=hs)
 
 
@@ -206,8 +198,6 @@ class CandidateMeasures:
 
 
 def correlated_info_content(s: SampleMatrix, d: int) -> CandidateMeasures:
-    if d < 1 or d > min(s.depth, MAX_BLOCK_LENGTH):
-        raise ValueError(f"d must be in [1, {min(s.depth, MAX_BLOCK_LENGTH)}], got {d}")
     freqs = s.pair_counts.diagonal()[:d] / s.n_samples
     per_bit = math.fsum(1.0 - binary_entropy(float(f)) for f in freqs)
     joint_h = block_entropy(s, d, first_window=True)

@@ -29,7 +29,6 @@ from .arithmetic import (
     DIGIT_PAIR_POSITIONS,
     digit_pair_joints,
     leading_digits,
-    prefix_counts,
     sampled_prefix_counts,
     scale_fiq_truncated,
     scaled_digit_table,
@@ -47,9 +46,11 @@ from .models import (
     FiqModel,
     IndependentBitsModel,
     MajorityVoteModel,
+    count_rows,
     enumeration_span,
     exact_window_joint,
     model_from_json,
+    sample_batches,
     sample_matrix,
 )
 from .propensity import HALF
@@ -281,7 +282,8 @@ def run_majority_study(spec: ExperimentSpec) -> ExperimentVerdict:
     if not 0 < bias < 1:  # constant source bits leave every z-score undefined
         raise ValueError(f"model field 'bias' must be in (0, 1) for this study, got '{bias}'")
     enumeration_span(k, [1, 1 + k] if spec.depth > k + 1 else [1, 2])  # widest joint, before any work
-    sample = sample_matrix(model, spec.depth, spec.samples)
+    # read length 0: no claim reads a window
+    sample = count_rows(sample_batches(model, spec.depth, spec.samples), spec.depth, model.stationary, 0)
     n = spec.samples
     claims: list[Claim] = []
 
@@ -361,8 +363,9 @@ def run_units_on_majority(spec: ExperimentSpec) -> ExperimentVerdict:
         raise ValueError("a positive rational constant is required")
     c = spec.constant
     table = scaled_digit_table(c, spec.depth)  # checks the depth bound before sampling
-    sample = sample_matrix(model, spec.depth, spec.samples)
-    counts = prefix_counts(sample)
+    sample = count_rows(sample_batches(model, spec.depth, spec.samples), spec.depth, model.stationary,
+                        spec.depth)
+    counts = sample.first_window.tolist()  # the first window at read length d is the prefix
 
     # soundness: the whole scaled interval of every realized prefix value lies
     # in its emitted digit cell, checked exactly from the table entry alone:

@@ -15,11 +15,10 @@ overlap structure is unchanged by this re-indexing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
-from typing import ClassVar, Iterator, Mapping, Protocol, Sequence
+from typing import ClassVar, Iterable, Iterator, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -33,6 +32,7 @@ ENUMERATION_BIT_BOUND = 24
 EXACT_ENUMERATION_MAX_DEPTH = 20
 MAX_BLOCK_LENGTH = 16  # longest block whose window counts are read
 SAMPLE_CHUNK_BITS = 1 << 16  # source bits per sample_matrix chunk; 2^17 and up measured slower
+SAMPLE_BATCH_CHUNKS = 16  # sample_matrix chunks per sample_batches batch
 
 
 class FiqModel(Protocol):
@@ -174,68 +174,74 @@ class IndependentBitsModel:
 
 @dataclass(frozen=True)
 class SampleMatrix:
-    """N independent realizations of the first d bits, one model stream per row.
+    """Integer counts of N realizations of the first d bits: every statistic the estimators read.
 
-    ``stationary`` records whether the generating process is shift-invariant
-    across bit positions (true for majority-vote models), which decides
-    whether block statistics may pool across positions.  ``pair_counts`` and
-    ``window_counts`` are computed once per sample; ``sample_matrix`` returns
-    ``bits`` read-only, so they cannot go stale.
+    ``stationary`` records whether the generating process is shift-invariant across bit positions (true for
+    majority-vote models), which decides whether block statistics may pool across positions.  The window
+    histograms count the big-endian codes of the first window, of every window and of the last one (the
+    first alone unless stationary) at the read length L, in 2^L bins.  At read length 0 no window is read.
     """
 
-    bits: np.ndarray  # (N, d) uint8 in any layout; sample_matrix's is column-major: the view of a (d, N) C array
+    n_samples: int
     stationary: bool
-    _windows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    @property
-    def n_samples(self) -> int:
-        return self.bits.shape[0]
+    pair_counts: np.ndarray  # (d, d) int64 BᵀB: rows with both bits set, and each column's ones on the diagonal
+    read_length: int
+    first_window: np.ndarray
+    pooled_windows: np.ndarray
+    last_window: np.ndarray
 
     @property
     def depth(self) -> int:
-        return self.bits.shape[1]
-
-    @cached_property
-    def pair_counts(self) -> np.ndarray:
-        """(d, d) int64 BᵀB: rows with both bits set, and each column's ones on the diagonal."""
-        rows = max(1, SAMPLE_CHUNK_BITS // self.depth)  # float32 sums are exact below 2^24 rows
-        gram = np.zeros((self.depth, self.depth), dtype=np.int64)
-        for start in range(0, self.n_samples, rows):
-            chunk = self.bits[start:start + rows].astype(np.float32)
-            gram += (chunk.T @ chunk).astype(np.int64)
-        return gram
+        return len(self.pair_counts)
 
     def window_counts(self, length: int) -> tuple[np.ndarray, np.ndarray]:
         """Counts of the 2^length window codes: (first window, every window if stationary, else first).
 
-        The rows are read once, into histograms of the first, pooled and last
-        windows at the longest length up to min(d, MAX_BLOCK_LENGTH) whose 2^L
-        bins are at most N/2, or at ``length`` if that is longer; a shorter
-        length sums their marginals, the last window's at each start past the
-        last long one.
+        A length below the read length sums the marginals of the read
+        histograms, the last window's at each start past the last read one.
         """
-        if length > self._windows.get("length", 0):
-            # unless a longer length is asked for, the cache stays within twice the rows' int64 code vector
-            read = max(length, min(self.depth, MAX_BLOCK_LENGTH, self.n_samples.bit_length() - 2))
-            codes = window_codes(self.bits, read)
-            first = pooled = last = np.bincount(next(codes), minlength=1 << read)
-            for code in codes if self.stationary else ():
-                last = np.bincount(code, minlength=1 << read)
-                pooled = pooled + last
-            self._windows.update(length=read, first=first, pooled=pooled, last=last)
-        w = self._windows
+        if not 1 <= length <= self.read_length:
+            raise ValueError(f"window length {length} is not in 1 .. the read length {self.read_length}")
 
         def leading(hist: np.ndarray) -> np.ndarray:
             return hist.reshape(1 << length, -1).sum(axis=1)
 
-        first = leading(w["first"])
-        if not self.stationary:
-            return first, first
-        pooled, tail = leading(w["pooled"]), w["last"]
-        for _ in range(w["length"] - length):  # each start past the last long window: drop a leading bit
-            tail = tail.reshape(2, -1).sum(axis=0)
+        first, pooled, tail = leading(self.first_window), leading(self.pooled_windows), self.last_window
+        for _ in range(self.read_length - length if self.stationary else 0):  # each start past the last read one
+            tail = tail.reshape(2, -1).sum(axis=0)  # the last window less a leading bit
             pooled = pooled + leading(tail)
         return first, pooled
+
+
+def count_rows(batches: Iterable[np.ndarray], depth: int, stationary: bool, read_length: int) -> SampleMatrix:
+    """The ``SampleMatrix`` of every row of ``batches``: (rows, depth) uint8 bit arrays in any layout.
+
+    The read length is checked before the first batch.  Each batch's counts are added in place into one Gram
+    matrix and the window histograms, so any split of the rows gives the same record, and peak memory is the
+    counts plus one batch.
+    """
+    if not 0 <= read_length <= min(depth, EXACT_ENUMERATION_MAX_DEPTH):
+        raise ValueError(f"read length {read_length} is not in 0 .. min(depth {depth}, {EXACT_ENUMERATION_MAX_DEPTH})")
+    gram = np.zeros((depth, depth), dtype=np.int64)
+    first = np.zeros(1 << read_length, dtype=np.int64)
+    windows = depth - read_length + 1 if stationary and read_length else 1
+    pooled, last = (np.zeros_like(first), np.zeros_like(first)) if windows > 1 else (first, first)
+    rows = max(1, SAMPLE_CHUNK_BITS // depth)  # float32 sums are exact below 2^24 rows
+
+    def add(bits: np.ndarray) -> int:
+        for start in range(0, len(bits), rows):
+            chunk = bits[start:start + rows].astype(np.float32)
+            gram[...] += (chunk.T @ chunk).astype(np.int64)
+        for t, code in zip(range(windows), window_codes(bits, read_length) if read_length else ()):
+            np.add.at(first if t == 0 else pooled, code, 1)
+            if t and t == windows - 1:
+                np.add.at(last, code, 1)
+        return len(bits)
+
+    n_samples = sum(map(add, batches))  # add's temporaries are freed before the next batch is drawn
+    if windows > 1:  # the pooled histogram holds every later window, and now the first
+        pooled += first
+    return SampleMatrix(n_samples, stationary, gram, read_length, first, pooled, last)
 
 
 def window_codes(bits: np.ndarray, length: int) -> Iterator[np.ndarray]:
@@ -278,27 +284,44 @@ def sample_chunk_rows(model: FiqModel, depth: int, n_samples: int) -> int:
     return max(1, SAMPLE_CHUNK_BITS // model.generating_bits(depth))
 
 
-def sample_matrix(model: FiqModel, depth: int, n_samples: int) -> SampleMatrix:
-    """N realizations on streams stream_id .. stream_id+N-1, one per row.
+def sample_matrix(model: FiqModel, depth: int, n_samples: int, out: np.ndarray | None = None) -> np.ndarray:
+    """N realizations on streams stream_id .. stream_id+N-1: a read-only (N, d) uint8 array, one row each.
 
     Every stream id must fit in 64 bits.  Rows are drawn in the caller's thread,
     in chunks of ``sample_chunk_rows`` rows, and written in place into the
-    column-major result.  Every chunk's uniforms are built and mixed in one
-    work buffer, allocated once per call and dropped on return, so peak memory
-    is the result plus about 2 * 8 * SAMPLE_CHUNK_BITS bytes, and no chunk
-    allocates a temporary of its grid's size.  Rows are pure functions of
-    their stream id.  The bits are read-only.
+    column-major result, the view of a (d, N) C array: a new one, or the first
+    N columns of ``out``, a (d, >= N) uint8 array.  Every chunk's uniforms are
+    built and mixed in one work buffer, allocated once per call and dropped on
+    return, so peak memory is the result plus about 2 * 8 * SAMPLE_CHUNK_BITS
+    bytes, and no chunk allocates a temporary of its grid's size.  Rows are
+    pure functions of their stream id.
     """
     rows = sample_chunk_rows(model, depth, n_samples)
     base = model.source.stream_id
-    columns = np.empty((depth, n_samples), dtype=np.uint8)
+    columns = np.empty((depth, n_samples), dtype=np.uint8) if out is None else out[:, :n_samples]
     work = np.empty(2 * min(rows, n_samples) * model.generating_bits(depth), dtype=np.uint64)
     for start in range(0, n_samples, rows):
         stop = min(start + rows, n_samples)
         # the stream-minor bit source makes each chunk's transpose C-contiguous: depth runs copy in whole
         columns[:, start:stop] = model.sample(np.arange(base + start, base + stop, dtype=np.uint64), depth, work).T
     columns.flags.writeable = False
-    return SampleMatrix(bits=columns.T, stationary=model.stationary)
+    return columns.T
+
+
+def sample_batches(model: FiqModel, depth: int, n_samples: int) -> Iterator[np.ndarray]:
+    """The rows of ``sample_matrix(model, depth, n_samples)``, SAMPLE_BATCH_CHUNKS whole chunks at a time.
+
+    Each batch is a ``sample_matrix`` call on the model with its stream id moved to the batch's first row;
+    rows are pure functions of their stream id.  The stream range is checked before the first batch.  Every
+    batch is written into one buffer, so the next batch overwrites it and a caller that keeps one must copy
+    it; a fresh buffer per batch re-faulted its pages whenever the allocator returned the last one's.
+    """
+    batch = SAMPLE_BATCH_CHUNKS * sample_chunk_rows(model, depth, n_samples)
+    base = model.source.stream_id
+    out = np.empty((depth, min(batch, n_samples)), dtype=np.uint8)
+    for start in range(0, n_samples, batch):
+        shifted = replace(model, source=replace(model.source, stream_id=base + start))
+        yield sample_matrix(shifted, depth, min(batch, n_samples - start), out)
 
 
 def enumeration_span(k: int, offsets: Sequence[int]) -> int:

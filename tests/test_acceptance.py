@@ -38,8 +38,11 @@ from fiq.estimators import (
 from fiq.experiments import consumed_source_indices
 from fiq.models import (
     IndependentBitsModel,
+    MAX_BLOCK_LENGTH,
     MajorityVoteModel,
+    count_rows,
     exact_window_joint,
+    sample_batches,
     sample_matrix,
 )
 from fiq.propensity import (
@@ -124,13 +127,14 @@ def test_criterion_3_majority_statistics():
 
         n, d = 100_000, 16
         model = MajorityVoteModel(k=3, source=RandomBitSource(seed=1))
-        s = sample_matrix(model, d, n)
-        p_eq = (s.bits[:, 0] == s.bits[:, 1]).mean()
+        bits = sample_matrix(model, d, n)
+        s = count_rows(sample_batches(model, d, n), d, model.stationary, 0)  # the counts the majority study reads
+        p_eq = (bits[:, 0] == bits[:, 1]).mean()
         assert abs(p_eq - 0.75) <= 3 * math.sqrt(0.75 * 0.25 / n)  # ~0.004
         for a in (0, 1):
             for b in (0, 1):
                 p = float(joint[(a, b)])
-                f = ((s.bits[:, 0] == a) & (s.bits[:, 1] == b)).mean()
+                f = ((bits[:, 0] == a) & (bits[:, 1] == b)).mean()
                 assert abs(f - p) <= 3 * math.sqrt(p * (1 - p) / n)
         for i, j in [(0, 3), (1, 4), (2, 5)]:
             assert joint_is_independent(exact_window_joint(3, Fraction(1, 2), [i + 1, j + 1]))
@@ -185,12 +189,12 @@ def test_criterion_5_change_of_units_critique():
         assert any(not joint_is_independent(j) for j in joints.values())
         assert max(mi_from_joint(j) for j in joints.values()) > 0.0
 
-        s = sample_matrix(model, depth, n)
+        bits = sample_matrix(model, depth, n)
         # per-prefix digits from the Fraction reference, not from the kernel under test
         table = [determined_digits(scale_by_constant(prefix_to_interval(BitPrefix(tuple(
                      (v >> (depth - 1 - i)) & 1 for i in range(depth)))), Fraction(3)))
                  for v in range(1 << depth)]
-        counts = np.bincount(prefix_values(s), minlength=1 << depth)
+        counts = np.bincount(prefix_values(bits), minlength=1 << depth)
         for (i, j), exact_joint in joints.items():
             emp = {}
             for v, c in enumerate(counts):
@@ -215,8 +219,8 @@ def test_criterion_5_change_of_units_critique():
         utable, uweights, udenominator = scale_fiq_truncated(uniform, Fraction(3), depth)
         ujoints = digit_pair_joints(leading_digits(utable, uweights), udenominator)
         assert all(joint_is_independent(j) for j in ujoints.values())
-        us = sample_matrix(uniform, depth, n)
-        ucounts = np.bincount(prefix_values(us), minlength=1 << depth)
+        ubits = sample_matrix(uniform, depth, n)
+        ucounts = np.bincount(prefix_values(ubits), minlength=1 << depth)
         floor = mi_noise_floor(n)
         for (i, j) in ujoints:
             emp = {}
@@ -269,7 +273,7 @@ def test_criterion_7_estimator_calibration():
         # sampled i.i.d. fair bits
         model = IndependentBitsModel(pv=PropensityVector([]),
                                      source=RandomBitSource(seed=17))
-        s = sample_matrix(model, 16, 100_000)
+        s = count_rows(sample_batches(model, 16, 100_000), 16, model.stationary, MAX_BLOCK_LENGTH)
         assert abs(entropy_rate(s, 8).rate - 1.0) <= 0.02
 
 

@@ -26,7 +26,6 @@ from fiq.arithmetic import (
     digit_pair_joints,
     digits_of_rational,
     leading_digits,
-    prefix_counts,
     prefix_to_interval,
     prefix_values,
     sampled_prefix_counts,
@@ -39,7 +38,7 @@ from fiq.errors import EnumerationBoundError
 from fiq.models import (
     IndependentBitsModel,
     MajorityVoteModel,
-    SampleMatrix,
+    count_rows,
     sample_chunk_rows,
     sample_matrix,
 )
@@ -235,6 +234,11 @@ JOINT_CASES = [
 ]
 
 
+def whole_sample_prefix_counts(model, depth, n):
+    """Reference: rows of the whole ``sample_matrix`` at each prefix value, by one bincount."""
+    return np.bincount(prefix_values(sample_matrix(model, depth, n)), minlength=1 << depth).tolist()
+
+
 def exact_law(model, c, depth):
     """The exact law as one reduced Fraction per ``digit_law`` entry."""
     table, weights, denominator = scale_fiq_truncated(model, c, depth)
@@ -245,7 +249,7 @@ def exact_and_count_laws(prefix, c):
     """Three laws of one model at depth 10: exact, exact in reverse entry order, and sample counts."""
     model = model_of(prefix)
     exact = exact_law(model, c, 10)
-    counts = prefix_counts(sample_matrix(model, 10, 5000))
+    counts = whole_sample_prefix_counts(model, 10, 5000)
     return exact, dict(reversed(exact.items())), digit_law(scaled_digit_table(c, 10), counts)
 
 
@@ -420,15 +424,19 @@ class TestScaleFiqTruncated:
 class TestPrefixValues:
     def test_values_stop_at_the_table_bound(self):
         ones = np.ones((1, 21), dtype=np.uint8)
-        top = prefix_values(SampleMatrix(ones[:, :20], stationary=False))
+        top = prefix_values(ones[:, :20])
         assert top.tolist() == [(1 << 20) - 1]
         with pytest.raises(EnumerationBoundError):
-            prefix_values(SampleMatrix(ones, stationary=False))
+            prefix_values(ones)
 
-    def test_prefix_counts_checks_the_bound_before_allocating(self):
-        # past the bound a count list would hold 2^depth bins
-        with pytest.raises(EnumerationBoundError):
-            prefix_counts(SampleMatrix(np.ones((1, 21), dtype=np.uint8), stationary=False))
+    def test_count_rows_checks_the_read_length_before_allocating(self):
+        # past the bound a histogram would hold 2^read_length bins
+        def no_rows():
+            raise AssertionError("a batch was read before the read length was checked")
+            yield
+
+        with pytest.raises(ValueError, match="read length 21 is not in 0 .. min"):
+            count_rows(no_rows(), 21, False, 21)
 
 
 TOP = 1 << 64
@@ -449,13 +457,13 @@ def with_stream(model, stream_id):
 
 
 class TestSampledPrefixCounts:
-    """The streaming counter equals ``prefix_counts`` of the whole sample, with peak memory of one batch."""
+    """The streaming counter equals the prefix counts of the whole sample, with peak memory of one batch."""
 
     @pytest.mark.parametrize("model", STREAMED_MODELS)
     @pytest.mark.parametrize("depth,n", [(1, 1), (1, 301), (12, 997), (20, 150)])
     def test_matches_counts_of_the_whole_sample(self, model, depth, n):
         got = sampled_prefix_counts(model, depth, n)
-        assert got == prefix_counts(sample_matrix(model, depth, n))
+        assert got == whole_sample_prefix_counts(model, depth, n)
         assert len(got) == 1 << depth and sum(got) == n
 
     @pytest.mark.parametrize("model", STREAMED_MODELS)
@@ -464,17 +472,17 @@ class TestSampledPrefixCounts:
     def test_many_batches_of_whole_chunks(self, monkeypatch, model, chunk_rows, batch_chunks, base):
         depth, n = 6, 250  # 250 rows is off every chunk and batch multiple below
         model = with_stream(model, base)
-        expected = prefix_counts(sample_matrix(model, depth, n))
+        expected = whole_sample_prefix_counts(model, depth, n)
         monkeypatch.setattr(fiq.models, "SAMPLE_CHUNK_BITS", chunk_rows * model.generating_bits(depth))
-        monkeypatch.setattr(fiq.arithmetic, "PREFIX_BATCH_CHUNKS", batch_chunks)
+        monkeypatch.setattr(fiq.models, "SAMPLE_BATCH_CHUNKS", batch_chunks)
         batches = []
-        real = fiq.arithmetic.sample_matrix
+        real = fiq.models.sample_matrix
 
-        def recording(m, d, rows):
+        def recording(m, d, rows, out=None):
             batches.append((m.source.stream_id, rows))
-            return real(m, d, rows)
+            return real(m, d, rows, out)
 
-        monkeypatch.setattr(fiq.arithmetic, "sample_matrix", recording)
+        monkeypatch.setattr(fiq.models, "sample_matrix", recording)
         assert sampled_prefix_counts(model, depth, n) == expected
         batch = chunk_rows * batch_chunks
         assert batches == [(base + start, min(batch, n - start)) for start in range(0, n, batch)]
@@ -490,14 +498,14 @@ class TestSampledPrefixCounts:
         def no_sampling(*args, **kwargs):
             raise AssertionError("a batch was drawn before the arguments were checked")
 
-        monkeypatch.setattr(fiq.arithmetic, "sample_matrix", no_sampling)
+        monkeypatch.setattr(fiq.models, "sample_matrix", no_sampling)
         with pytest.raises(error):
             sampled_prefix_counts(model, depth, n)
 
     def test_peak_memory_does_not_grow_with_n(self, monkeypatch):
         model, depth = STREAMED_MODELS[1], 12
         monkeypatch.setattr(fiq.models, "SAMPLE_CHUNK_BITS", 1 << 12)  # 292 rows a chunk: a quick run
-        batch_rows = fiq.arithmetic.PREFIX_BATCH_CHUNKS * sample_chunk_rows(model, depth, 1)
+        batch_rows = fiq.models.SAMPLE_BATCH_CHUNKS * sample_chunk_rows(model, depth, 1)
         batch_bytes = batch_rows * (depth + 8)  # its bits and its int64 prefix values
 
         def peak(n):

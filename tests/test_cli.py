@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -72,7 +73,7 @@ class TestSampleBytes:
         code = run_cli(["sample", "--model", json.dumps(MIXED_MODEL), "--depth", str(depth),
                         "--samples", str(samples), "--seed", "3"], tmp_path)
         assert code == 0
-        bits = sample_matrix(model_from_json(MIXED_MODEL, seed=3), depth, samples).bits
+        bits = sample_matrix(model_from_json(MIXED_MODEL, seed=3), depth, samples)
         assert (tmp_path / "samples.csv").read_bytes() == csv_writer_bytes(bits)
 
     @pytest.mark.parametrize("step", ["write", "replace"])
@@ -138,6 +139,22 @@ class TestMeasure:
         assert a == (tmp_path / "c/report.json").read_bytes()
 
 
+    def test_peak_memory_does_not_grow_with_samples(self, tmp_path, model_file):
+        # the whole sample's bits and int64 codes would add 24 B a row: 43 MB from N = 2e5 to 2e6
+        def peak(n):
+            tracemalloc.start()
+            try:
+                assert run_cli(["measure", "--model", model_file, "--depth", "16", "--samples", str(n),
+                                "--seed", "1", "--blocks", "12"], tmp_path / str(n)) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(200_000), peak(2_000_000)
+        assert abs(large - small) < 1 << 20  # 1 MiB: the counts and one batch, whatever N is
+        assert large < 24 * 200_000  # below the bits and codes of the smaller sample
+
+
 class TestOneThread:
     @pytest.mark.parametrize("command,outputs", [
         (["sample", "--model", json.dumps(MIXED_MODEL), "--depth", "9", "--samples", "1001"], ["samples.csv"]),
@@ -172,10 +189,13 @@ class TestChunkSize:
         (["measure", "--model", json.dumps(MAJORITY_MODEL), "--mi-csv"], ["report.json", "mi_matrix.csv"]),
         (["arith", "--mode", "sample", "--model", json.dumps(MAJORITY_MODEL), "--constant", "3"], ["arith.json"]),
     ], ids=["sample", "measure", "arith"])
-    def test_chunk_size_does_not_change_output(self, tmp_path, monkeypatch, command, outputs):
+    # batches of 16 chunks, of one, and of three: 1001 rows end in a partial batch
+    @pytest.mark.parametrize("batch_chunks", [16, 1, 3])
+    def test_chunk_size_does_not_change_output(self, tmp_path, monkeypatch, command, outputs, batch_chunks):
         args = [*command, "--depth", "9", "--samples", "1001", "--seed", "4"]
         assert run_cli(args, tmp_path / "one") == 0  # 1001 rows fit in one chunk
         monkeypatch.setattr(fiq.models, "SAMPLE_CHUNK_BITS", 64)  # 5 or 7 rows per chunk
+        monkeypatch.setattr(fiq.models, "SAMPLE_BATCH_CHUNKS", batch_chunks)
         assert run_cli(args, tmp_path / "many") == 0
         for name in outputs:
             assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "many" / name).read_bytes()
@@ -400,7 +420,7 @@ class TestMalformedInput:
             raise AssertionError("sampled before the depth bound was checked")
 
         monkeypatch.setattr(fiq.cli, "sample_matrix", no_sampling)
-        monkeypatch.setattr(fiq.arithmetic, "sample_matrix", no_sampling)
+        monkeypatch.setattr(fiq.arithmetic, "sample_batches", no_sampling)
         code = run_cli(["arith", "--mode", "sample", "--model", json.dumps(MAJORITY_MODEL),
                         "--constant", "3", "--depth", "21", "--samples", "1000", "--seed", "1"],
                        tmp_path)
@@ -440,8 +460,8 @@ class TestMalformedInput:
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before the unspecified tail was checked")
 
-        monkeypatch.setattr(fiq.experiments, "sample_matrix", no_sampling)
-        monkeypatch.setattr(fiq.arithmetic, "sample_matrix", no_sampling)
+        monkeypatch.setattr(fiq.experiments, "sample_batches", no_sampling)
+        monkeypatch.setattr(fiq.arithmetic, "sample_batches", no_sampling)
         spec = {"name": "units:unspecified-tail", "model": UNSPECIFIED_TAIL_MODEL,
                 "depth": 12, "samples": 1000, "constant": "3"}
         spec_path = tmp_path / "spec.json"
@@ -505,7 +525,7 @@ class TestMalformedInput:
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before --blocks was checked")
 
-        monkeypatch.setattr(fiq.cli, "sample_matrix", no_sampling)
+        monkeypatch.setattr(fiq.cli, "sample_batches", no_sampling)
         code = run_cli(["measure", "--model", json.dumps(MAJORITY_MODEL), "--depth", "4",
                         "--samples", "500", "--seed", "1", "--blocks", blocks], tmp_path)
         assert code == 2
@@ -529,7 +549,8 @@ class TestMalformedInput:
             raise AssertionError("sampled before --depth and --samples were checked")
 
         monkeypatch.setattr(fiq.cli, "sample_matrix", no_sampling)
-        monkeypatch.setattr(fiq.arithmetic, "sample_matrix", no_sampling)
+        monkeypatch.setattr(fiq.cli, "sample_batches", no_sampling)
+        monkeypatch.setattr(fiq.arithmetic, "sample_batches", no_sampling)
         code = run_cli([*command, "--model", json.dumps(MAJORITY_MODEL), "--depth", depth,
                         "--samples", samples, "--seed", "1"], tmp_path)
         assert code == 2
@@ -553,7 +574,7 @@ class TestMalformedInput:
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before --samples was checked against the MI minimum")
 
-        monkeypatch.setattr(fiq.cli, "sample_matrix", no_sampling)
+        monkeypatch.setattr(fiq.cli, "sample_batches", no_sampling)
         code = run_cli(["measure", "--model", json.dumps(MAJORITY_MODEL), "--depth", "4",
                         "--samples", "99", "--seed", "1"], tmp_path)
         assert code == 2

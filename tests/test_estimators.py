@@ -12,7 +12,6 @@ import fiq.models
 from fiq.estimators import (
     LN2,
     MAX_BLOCK_LENGTH,
-    SampleMatrix,
     block_entropy,
     correlated_info_content,
     correlated_info_from_dist,
@@ -30,7 +29,9 @@ from fiq.estimators import (
 from fiq.models import (
     IndependentBitsModel,
     MajorityVoteModel,
+    count_rows,
     exact_window_joint,
+    sample_batches,
     sample_matrix,
     window_codes,
 )
@@ -48,14 +49,25 @@ ADJACENT_MI = float(2 - (-2 * (mpmath.mpf(3) / 8 * mpmath.log(mpmath.mpf(3) / 8,
                                + mpmath.mpf(1) / 8 * mpmath.log(mpmath.mpf(1) / 8, 2))))
 
 
+def count_bits(bits, stationary=False):
+    """The counts of hand-made (N, d) bits, read at ``fiq measure``'s length min(d, MAX_BLOCK_LENGTH)."""
+    d = bits.shape[1]
+    return count_rows([bits], d, stationary, min(d, MAX_BLOCK_LENGTH))
+
+
 def matrix(rows, stationary=False):
-    return SampleMatrix(bits=np.array(rows, dtype=np.uint8), stationary=stationary)
+    return count_bits(np.array(rows, dtype=np.uint8), stationary)
+
+
+def sampled(model, d, n):
+    """The counts of ``sample_matrix(model, d, n)``, drawn a batch at a time and read like ``matrix``."""
+    return count_rows(sample_batches(model, d, n), d, model.stationary, min(d, MAX_BLOCK_LENGTH))
 
 
 def fair_iid(n, d, seed=17):
     model = IndependentBitsModel(pv=PropensityVector([]),
                                  source=RandomBitSource(seed=seed))
-    return sample_matrix(model, d, n)
+    return sampled(model, d, n)
 
 
 class TestDistributionLayer:
@@ -140,15 +152,16 @@ class TestPairwiseMi:
         assert pairwise_mi(matrix(rows), 0, 1) == 0.0  # both columns constant
 
     def test_copied_columns(self):
-        col = fair_iid(5000, 1).bits
-        s = SampleMatrix(bits=np.hstack([col, col]), stationary=False)
+        model = IndependentBitsModel(pv=PropensityVector([]), source=RandomBitSource(seed=17))
+        col = sample_matrix(model, 1, 5000)
+        s = count_bits(np.hstack([col, col]))
         est = pairwise_mi(s, 0, 1)
         assert est == pytest.approx(1.0, abs=0.01)
         assert est > mi_noise_floor(5000)
 
     def test_symmetry_and_nonnegativity(self):
         model = MajorityVoteModel(k=3, source=RandomBitSource(seed=2))
-        s = sample_matrix(model, 6, 5000)
+        s = sampled(model, 6, 5000)
         for i in range(5):
             a = pairwise_mi(s, i, i + 1)
             b = pairwise_mi(s, i + 1, i)
@@ -157,7 +170,7 @@ class TestPairwiseMi:
 
     def test_majority_adjacent_close_to_exact(self):
         model = MajorityVoteModel(k=3, source=RandomBitSource(seed=6))
-        s = sample_matrix(model, 4, 100_000)
+        s = sampled(model, 4, 100_000)
         est = pairwise_mi(s, 0, 1)
         assert est == pytest.approx(ADJACENT_MI, abs=0.01)
         assert est > mi_noise_floor(100_000)
@@ -182,7 +195,7 @@ class TestPairCounts:
     """The Gram matrix and the 2x2 tables read off it, against per-pair bincounts."""
 
     def assert_matches_reference(self, bits):
-        s = SampleMatrix(bits=bits, stationary=False)
+        s = count_rows([bits], bits.shape[1], False, 0)
         d = bits.shape[1]
         expected = np.array([[slow_joint_counts(bits, i, j)[1, 1] for j in range(d)] for i in range(d)])
         assert s.pair_counts.dtype == np.int64
@@ -212,7 +225,7 @@ class TestPairCounts:
         # a chunk has at most SAMPLE_CHUNK_BITS rows for any depth >= 1
         assert all(max(1, fiq.models.SAMPLE_CHUNK_BITS // depth) < 1 << 24 for depth in range(1, 65))
         # a count past 2^24 is summed across chunks in int64, where float32 would round it
-        s = SampleMatrix(bits=np.ones(((1 << 24) + 1, 1), dtype=np.uint8), stationary=False)
+        s = count_rows([np.ones(((1 << 24) + 1, 1), dtype=np.uint8)], 1, False, 0)
         assert s.pair_counts[0, 0] == (1 << 24) + 1
 
     def test_mi_matrix_holds_less_than_one_int64_column(self, monkeypatch):
@@ -243,7 +256,7 @@ class TestBlockEntropy:
 
     def test_majority_l2_against_enumeration(self):
         model = MajorityVoteModel(k=3, source=RandomBitSource(seed=10))
-        s = sample_matrix(model, 12, 30_000)
+        s = sampled(model, 12, 30_000)
         assert block_entropy(s, 2) == pytest.approx(ADJACENT_H2, abs=0.01)
 
     def test_rejects_oversize_blocks(self):
@@ -253,7 +266,7 @@ class TestBlockEntropy:
 
     def test_chain_monotone_within_tolerance(self):
         model = MajorityVoteModel(k=3, source=RandomBitSource(seed=3))
-        s = sample_matrix(model, 16, 100_000)
+        s = sampled(model, 16, 100_000)
         hs = [block_entropy(s, L) for L in range(1, 9)]
         tol = 0.02
         for a, b in zip(hs, hs[1:]):
@@ -265,10 +278,10 @@ class TestBlockEntropy:
     def test_holds_one_code_vector(self):
         # all N x (d - L + 1) window codes at once would be 16 * N * 8 bytes here
         n = 20_000
-        s = sample_matrix(MajorityVoteModel(k=3, source=RandomBitSource(seed=4)), 16, n)
+        bits = sample_matrix(MajorityVoteModel(k=3, source=RandomBitSource(seed=4)), 16, n)
         tracemalloc.start()
         try:
-            block_entropy(s, 1)
+            block_entropy(count_rows([bits], 16, True, 1), 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -302,14 +315,15 @@ class TestBlockEntropyFromCounts:
 
 @pytest.mark.parametrize("L", range(1, 9))
 def test_entropy_from_dist_is_the_plugin_part_of_block_entropy(L):
-    s = sample_matrix(MajorityVoteModel(k=3, source=RandomBitSource(seed=5)), 8, 20_000)
-    counts = Counter(next(window_codes(s.bits, L)).tolist())
-    miller_madow = (len(counts) - 1) / (2.0 * s.n_samples * LN2)
-    assert entropy_from_dist(counts) + miller_madow == block_entropy(s, L, first_window=True)
+    bits = sample_matrix(MajorityVoteModel(k=3, source=RandomBitSource(seed=5)), 8, 20_000)
+    s = count_bits(bits, stationary=True)
+    codes = Counter(next(window_codes(bits, L)).tolist())
+    miller_madow = (len(codes) - 1) / (2.0 * s.n_samples * LN2)
+    assert entropy_from_dist(codes) + miller_madow == block_entropy(s, L, first_window=True)
 
 
 def bincount_windows(bits, length, pooled):
-    """Counts of the length-L window codes, one bincount per window (block_entropy before the cache)."""
+    """Counts of the length-L window codes, one bincount per window (block_entropy before window histograms)."""
     bits = bits if pooled else bits[:, :length]
     return sum(np.bincount(code, minlength=1 << length) for code in window_codes(bits, length))
 
@@ -322,13 +336,14 @@ def bincount_entropy(counts):
 
 
 class TestWindowCounts:
-    """Window histograms read off the longest window, against one bincount per window."""
+    """Window histograms read off the read length's windows, against one bincount per window."""
 
     @pytest.mark.parametrize("order", ["increasing", "decreasing", "shuffled"])
     @pytest.mark.parametrize("stationary", [True, False])
     @pytest.mark.parametrize("d", [1, 5, 16, 20])
     def test_every_length_in_any_order(self, d, stationary, order):
-        s = SampleMatrix(bits=random_bits(2000, d, seed=d), stationary=stationary)
+        bits = random_bits(2000, d, seed=d)
+        s = count_bits(bits, stationary)
         lengths = list(range(1, min(d, MAX_BLOCK_LENGTH) + 1))
         if order == "decreasing":
             lengths.reverse()
@@ -336,8 +351,8 @@ class TestWindowCounts:
             random.Random(d).shuffle(lengths)
         for L in lengths:
             first, pooled = s.window_counts(L)
-            expected_first = bincount_windows(s.bits, L, pooled=False)
-            expected_pooled = bincount_windows(s.bits, L, pooled=stationary)
+            expected_first = bincount_windows(bits, L, pooled=False)
+            expected_pooled = bincount_windows(bits, L, pooled=stationary)
             assert first.dtype == pooled.dtype == np.int64
             assert np.array_equal(first, expected_first)
             assert np.array_equal(pooled, expected_pooled)
@@ -345,22 +360,22 @@ class TestWindowCounts:
             assert block_entropy(s, L, first_window=True) == bincount_entropy(expected_first)
 
     def test_shorter_length_reads_no_rows(self, monkeypatch):
-        s = sample_matrix(MajorityVoteModel(k=3, source=RandomBitSource(seed=6)), 16, 5000)
-        expected = [bincount_entropy(bincount_windows(s.bits, L, pooled=True)) for L in range(1, 11)]
-        s.window_counts(10)
+        bits = sample_matrix(MajorityVoteModel(k=3, source=RandomBitSource(seed=6)), 16, 5000)
+        expected = [bincount_entropy(bincount_windows(bits, L, pooled=True)) for L in range(1, 12)]
+        s = count_rows([bits], 16, True, 11)
 
         def no_rows(bits, length):
             raise AssertionError(f"rows read again for length {length}")
 
         monkeypatch.setattr(fiq.models, "window_codes", no_rows)
-        assert [block_entropy(s, L) for L in range(10, 0, -1)] == expected[::-1]
+        assert [block_entropy(s, L) for L in range(11, 0, -1)] == expected[::-1]
         assert correlated_info_content(s, 8).multi_information == 8 - bincount_entropy(
-            bincount_windows(s.bits, 8, pooled=False))
-        with pytest.raises(AssertionError, match="length 12"):  # past the first build, at 11 for N = 5000
+            bincount_windows(bits, 8, pooled=False))
+        with pytest.raises(ValueError, match="window length 12 is not in 1 .. the read length 11"):
             block_entropy(s, 12)
 
     def test_entropy_rate_reads_rows_once(self, monkeypatch):
-        s = sample_matrix(MajorityVoteModel(k=3, source=RandomBitSource(seed=6)), 16, 5000)
+        model = MajorityVoteModel(k=3, source=RandomBitSource(seed=6))
         lengths = []
         rolled = fiq.models.window_codes
 
@@ -369,17 +384,17 @@ class TestWindowCounts:
             return rolled(bits, length)
 
         monkeypatch.setattr(fiq.models, "window_codes", counted)
+        s = count_rows(sample_batches(model, 16, 5000), 16, True, 12)  # one batch
         entropy_rate(s, 12)
         assert lengths == [12]
 
     @pytest.mark.parametrize("stationary", [True, False])
-    @pytest.mark.parametrize("n,read", [(20_000, 13), (140_000, 16)])  # 2^read <= n / 2, at most the cap
-    def test_increasing_lengths_read_rows_once(self, monkeypatch, n, read, stationary):
-        bits = sample_matrix(MajorityVoteModel(k=3, source=RandomBitSource(seed=6)), 16, n).bits
-        longest_first = SampleMatrix(bits=bits, stationary=stationary)
-        expected = [longest_first.window_counts(L) for L in range(12, 0, -1)][::-1]
-        expected_h = [block_entropy(longest_first, L) for L in range(12, 0, -1)][::-1]
-        s = SampleMatrix(bits=bits, stationary=stationary)
+    @pytest.mark.parametrize("n,read,batches", [(20_000, 13, 1), (140_000, 16, 3)])
+    def test_increasing_lengths_read_rows_once(self, monkeypatch, n, read, batches, stationary):
+        model = MajorityVoteModel(k=3, source=RandomBitSource(seed=6))
+        bits = sample_matrix(model, 16, n)
+        expected = [(bincount_windows(bits, L, pooled=False), bincount_windows(bits, L, pooled=stationary))
+                    for L in range(1, 13)]
         lengths = []
         rolled = fiq.models.window_codes
 
@@ -388,20 +403,21 @@ class TestWindowCounts:
             return rolled(bits, length)
 
         monkeypatch.setattr(fiq.models, "window_codes", counted)
-        assert [block_entropy(s, L) for L in range(1, 13)] == expected_h
-        assert lengths == [read]
+        s = count_rows(sample_batches(model, 16, n), 16, stationary, read)
+        assert lengths == [read] * batches
+        assert [block_entropy(s, L) for L in range(1, 13)] == [bincount_entropy(p) for _, p in expected]
         for L, (first, pooled) in enumerate(expected, start=1):
             assert np.array_equal(s.window_counts(L)[0], first)
             assert np.array_equal(s.window_counts(L)[1], pooled)
-        assert lengths == [read]
+        assert lengths == [read] * batches
 
     @pytest.mark.parametrize("stationary", [True, False])
-    def test_cache_holds_three_histograms_of_the_longest_length(self, stationary):
-        s = SampleMatrix(bits=random_bits(1000, 20, seed=7), stationary=stationary)
+    def test_holds_three_histograms_of_the_read_length(self, stationary):
+        s = count_bits(random_bits(1000, 20, seed=7), stationary)
         for L in (3, 16, 5):
             s.window_counts(L)
-        held = {id(a): a.nbytes for a in s._windows.values() if isinstance(a, np.ndarray)}
-        assert s._windows["length"] == 16
+        held = {id(a): a.nbytes for a in (s.first_window, s.pooled_windows, s.last_window)}
+        assert s.read_length == 16
         assert sum(held.values()) <= 3 * 8 << 16
 
 
@@ -418,7 +434,7 @@ class TestEntropyRate:
 
     def test_majority_rate_matches_enumeration(self):
         model = MajorityVoteModel(k=3, source=RandomBitSource(seed=14))
-        s = sample_matrix(model, 16, 100_000)
+        s = sampled(model, 16, 100_000)
         l_max = 6
         est = entropy_rate(s, l_max)
         h_hi = entropy_from_dist(exact_window_joint(3, Fraction(1, 2), range(1, l_max + 1)))
@@ -441,14 +457,20 @@ class TestCorrelatedInfoContent:
     def test_deterministic_bits(self):
         model = IndependentBitsModel(pv=PropensityVector([1, 0, 1]),
                                      source=RandomBitSource(seed=1))
-        s = sample_matrix(model, 3, 1000)
+        s = sampled(model, 3, 1000)
         cm = correlated_info_content(s, 3)
         assert cm.per_bit_sum == pytest.approx(3.0, abs=1e-12)
         assert cm.multi_information == pytest.approx(3.0, abs=1e-2)
 
+    @pytest.mark.parametrize("d", [0, 7])
+    def test_rejects_d_outside_the_read_length(self, d):
+        s = count_rows([random_bits(200, 8, seed=3)], 8, False, 6)
+        with pytest.raises(ValueError, match=f"window length {d} is not in 1 .. the read length 6"):
+            correlated_info_content(s, d)
+
     def test_majority_d2(self):
         model = MajorityVoteModel(k=3, source=RandomBitSource(seed=8))
-        s = sample_matrix(model, 4, 100_000)
+        s = sampled(model, 4, 100_000)
         cm = correlated_info_content(s, 2)
         assert cm.per_bit_sum == pytest.approx(0.0, abs=0.01)
         assert cm.multi_information == pytest.approx(2 - ADJACENT_H2, abs=0.01)
@@ -457,7 +479,7 @@ class TestCorrelatedInfoContent:
 class TestReports:
     def test_correlation_report_structure(self):
         model = MajorityVoteModel(k=3, source=RandomBitSource(seed=4))
-        s = sample_matrix(model, 6, 2000)
+        s = sampled(model, 6, 2000)
         rep = correlation_report(s)
         assert rep.mi_matrix.shape == (6, 6)
         assert np.allclose(rep.mi_matrix, rep.mi_matrix.T)

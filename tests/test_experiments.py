@@ -8,7 +8,7 @@ import pytest
 import fiq.arithmetic
 import fiq.experiments
 import fiq.models
-from fiq.arithmetic import prefix_counts
+from fiq.arithmetic import sampled_prefix_counts
 from fiq.errors import EnumerationBoundError
 from fiq.experiments import (
     PRESETS,
@@ -20,7 +20,7 @@ from fiq.experiments import (
     run_units_critique,
     run_units_on_majority,
 )
-from fiq.models import IndependentBitsModel, MajorityVoteModel, sample_matrix
+from fiq.models import IndependentBitsModel, MajorityVoteModel, count_rows, sample_batches, sample_matrix
 from fiq.propensity import PropensityVector
 from fiq.randombits import RandomBitSource
 
@@ -94,10 +94,10 @@ class TestMajorityStudy:
 
             model = MajorityVoteModel(k=3, source=RandomBitSource(seed=seed))
             s = sample_matrix(model, 2, n)
-            f1 = s.bits[:, 0].mean()
+            f1 = s[:, 0].mean()
             if abs(f1 - 0.5) <= 3 * math.sqrt(0.25 / n):
                 hits_marginal += 1
-            f00 = ((s.bits[:, 0] == 0) & (s.bits[:, 1] == 0)).mean()
+            f00 = ((s[:, 0] == 0) & (s[:, 1] == 0)).mean()
             if abs(f00 - p) <= 3 * math.sqrt(p * (1 - p) / n):
                 hits_cell += 1
         assert hits_marginal >= 99
@@ -108,13 +108,12 @@ class TestMajorityStudy:
         # independent pairs land above it; check the realized rate is in a
         # band around that rather than pretending it is rare
         from fiq.estimators import mi_noise_floor, pairwise_mi
-        from fiq.models import sample_matrix
 
         exceed = 0
         runs = 100
         for seed in range(runs):
             model = MajorityVoteModel(k=3, source=RandomBitSource(seed=seed))
-            s = sample_matrix(model, 5, 2000)
+            s = count_rows(sample_batches(model, 5, 2000), 5, model.stationary, 0)
             if pairwise_mi(s, 0, 4) > mi_noise_floor(2000):
                 exceed += 1
         assert exceed <= 20
@@ -124,7 +123,7 @@ class TestMajorityStudy:
         def no_work(*args, **kwargs):
             raise AssertionError("work started before the enumeration bound was checked")
 
-        monkeypatch.setattr(fiq.experiments, "sample_matrix", no_work)
+        monkeypatch.setattr(fiq.experiments, "sample_batches", no_work)
         monkeypatch.setattr(fiq.experiments, "exact_window_joint", no_work)
         spec = ExperimentSpec.from_json({"name": "wide", "model": {"type": "majority", "k": k},
                                          "depth": depth, "samples": 1000}, seed=1)
@@ -158,9 +157,9 @@ class TestConsumedIndices:
         # every sample_matrix chunk hands its source the one work buffer; the requests and bits are unchanged
         monkeypatch.setattr(fiq.models, "SAMPLE_CHUNK_BITS", 4 * model.generating_bits(depth))
         recorder = _RecordingSource(**asdict(model.source))
-        bits = sample_matrix(replace(model, source=recorder), depth, 10).bits
+        bits = sample_matrix(replace(model, source=recorder), depth, 10)
         assert recorder.requests == [(1, model.generating_bits(depth))] * 3
-        assert bits.tolist() == sample_matrix(model, depth, 10).bits.tolist()
+        assert bits.tolist() == sample_matrix(model, depth, 10).tolist()
         assert consumed_source_indices(model, depth) == set(range(1, model.generating_bits(depth) + 1))
 
 
@@ -185,7 +184,7 @@ class TestUnitsOnMajority:
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before the depth bound was checked")
 
-        monkeypatch.setattr(fiq.experiments, "sample_matrix", no_sampling)
+        monkeypatch.setattr(fiq.experiments, "sample_batches", no_sampling)
         spec = replace(preset_spec("units-majority", "k3-x3", seed=1), depth=21)
         with pytest.raises(EnumerationBoundError):
             run_units_on_majority(spec)
@@ -217,7 +216,7 @@ class TestUnitsOnMajority:
     def test_soundness_claim_fails_on_one_wrong_digit(self, monkeypatch, corrupt):
         spec = replace(preset_spec("units-majority", "k3-x3", seed=1), samples=2000, depth=6)
         assert run_units_on_majority(spec).claims[0].passed
-        counts = prefix_counts(sample_matrix(spec.model, spec.depth, spec.samples))
+        counts = sampled_prefix_counts(spec.model, spec.depth, spec.samples)
         real = fiq.experiments.scaled_digit_table
         table = real(spec.constant, spec.depth)
         v = next(v for v, entry in enumerate(table) if counts[v] and entry is not None and entry[1])

@@ -9,16 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fiq.models
-from fiq.arithmetic import prefix_counts, scale_fiq_truncated
+from fiq.arithmetic import prefix_values, scale_fiq_truncated
 from fiq.errors import DepthBeyondKnowledgeError, EnumerationBoundError
 from fiq.jsonfields import json_float, json_int, json_rational
 from fiq.models import (
     EXACT_ENUMERATION_MAX_DEPTH,
+    MAX_BLOCK_LENGTH,
     IndependentBitsModel,
     MajorityVoteModel,
-    SampleMatrix,
+    count_rows,
     exact_window_joint,
     model_from_json,
+    sample_batches,
     sample_matrix,
     window_codes,
 )
@@ -144,9 +146,14 @@ class TestModels:
             model_from_json({"type": "majority", "k": 3.5}, seed=1)
 
 
+def sample_counts(model, depth, n, read_length=0):
+    """The counts of ``sample_matrix(model, depth, n)``, drawn and counted a batch at a time."""
+    return count_rows(sample_batches(model, depth, n), depth, model.stationary, read_length)
+
+
 def one_row(model, depth):
     """The single row of ``sample_matrix(model, depth, 1)``, as a tuple of ints."""
-    return tuple(sample_matrix(model, depth, 1).bits[0].tolist())
+    return tuple(sample_matrix(model, depth, 1)[0].tolist())
 
 
 class TestSingleRow:
@@ -174,7 +181,7 @@ class TestSingleRow:
     def test_unspecified_tail_depth_limit(self):
         pv = PropensityVector(["3/4", "3/4"], TailPolicy.UNSPECIFIED)
         model = IndependentBitsModel(pv=pv, source=fair_source())
-        assert sample_matrix(model, 2, 1).depth == 2
+        assert sample_matrix(model, 2, 1).shape == (1, 2)
         with pytest.raises(DepthBeyondKnowledgeError):
             sample_matrix(model, 3, 1)
 
@@ -277,7 +284,7 @@ class TestSampleMatrix:
         model = MajorityVoteModel(k=3, source=fair_source(seed=8))
         s = sample_matrix(model, 8, 5)
         for i in range(5):
-            assert s.bits[i].tolist() == model.sample(np.array([i], dtype=np.uint64), 8)[0].tolist()
+            assert s[i].tolist() == model.sample(np.array([i], dtype=np.uint64), 8)[0].tolist()
 
     @pytest.mark.parametrize("model", [
         IndependentBitsModel(pv=PropensityVector(["1", "0", "1/3", "3/4"], tail=TailPolicy.HALF),
@@ -290,7 +297,7 @@ class TestSampleMatrix:
         depth, n = 7, 23
         # one row per chunk, or four, so 23 rows end in a partial chunk
         monkeypatch.setattr(fiq.models, "SAMPLE_CHUNK_BITS", chunk_rows * model.generating_bits(depth) + 1)
-        got = sample_matrix(model, depth, n).bits
+        got = sample_matrix(model, depth, n)
         assert got.tolist() == oracle_rows(model, depth, n)
 
     @pytest.mark.parametrize("bias", [Fraction(0), Fraction(1, 2), Fraction(1)])
@@ -298,7 +305,7 @@ class TestSampleMatrix:
     def test_window_sums_at_dtype_edges_match_oracle(self, k, bias):
         # depth 300: each row's running sum passes 256 (wrapping in uint8) at every bias but 0
         model = MajorityVoteModel(k=k, source=fair_source(seed=12), bias=bias)
-        assert sample_matrix(model, 300, 6).bits.tolist() == oracle_rows(model, 300, 6)
+        assert sample_matrix(model, 300, 6).tolist() == oracle_rows(model, 300, 6)
 
     @given(k=st.integers(0, 150).map(lambda h: 2 * h + 1),
            bias=st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)]),
@@ -310,7 +317,7 @@ class TestSampleMatrix:
         model = MajorityVoteModel(k=k, source=fair_source(seed=seed, stream=3), bias=bias)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fiq.models, "SAMPLE_CHUNK_BITS", chunk_rows * model.generating_bits(depth))
-            got = sample_matrix(model, depth, n).bits
+            got = sample_matrix(model, depth, n)
         streams = np.arange(3, 3 + n, dtype=np.uint64)
         r = threshold_bits(model.source.uniforms(streams, 1, depth + k - 1), [bias])
         assert got.dtype == np.uint8 and got.shape == (n, depth)
@@ -320,9 +327,9 @@ class TestSampleMatrix:
         pv = PropensityVector(["3/4", "1/4"])
         model = IndependentBitsModel(pv=pv, source=fair_source(seed=31))
         s = sample_matrix(model, 2, 40_000)
-        n = s.n_samples
+        n = len(s)
         for j, q in ((0, 0.75), (1, 0.25)):
-            f = s.bits[:, j].mean()
+            f = s[:, j].mean()
             assert abs(f - q) <= 3 * math.sqrt(q * (1 - q) / n)
 
     @pytest.mark.parametrize("failing_start", [0, 20, 40], ids=["first", "middle", "last-partial"])
@@ -357,7 +364,7 @@ class TestSampleMatrix:
         # one row per chunk, or five, so 103 rows end in a partial chunk
         monkeypatch.setattr(fiq.models, "SAMPLE_CHUNK_BITS", chunk_rows * model.generating_bits(depth) + 1)
         streams = np.arange(model.source.stream_id, model.source.stream_id + n, dtype=np.uint64)
-        got = sample_matrix(model, depth, n).bits
+        got = sample_matrix(model, depth, n)
         assert got.dtype == np.uint8 and got.shape == (n, depth)
         assert np.array_equal(got, model.sample(streams, depth))
 
@@ -374,15 +381,15 @@ class TestSampleMatrix:
         monkeypatch.setattr(threading.Thread, "start", no_thread)
         # seven rows per chunk: 301 rows in 43 chunks
         monkeypatch.setattr(fiq.models, "SAMPLE_CHUNK_BITS", 7 * model.generating_bits(depth))
-        got = sample_matrix(model, depth, n).bits
+        got = sample_matrix(model, depth, n)
         assert np.array_equal(got, model.sample(np.arange(3, 3 + n, dtype=np.uint64), depth))
 
     def test_bits_are_read_only(self):
-        s = sample_matrix(MajorityVoteModel(k=3, source=fair_source(seed=4)), 6, 10)
-        s.pair_counts
+        bits = sample_matrix(MajorityVoteModel(k=3, source=fair_source(seed=4)), 6, 10)
+        s = count_rows([bits], 6, True, 6)
         with pytest.raises(ValueError, match="read-only"):
-            s.bits[0, 0] = 1
-        assert np.array_equal(s.pair_counts, s.bits.T.astype(np.int64) @ s.bits.astype(np.int64))
+            bits[0, 0] = 1
+        assert np.array_equal(s.pair_counts, bits.T.astype(np.int64) @ bits.astype(np.int64))
 
     def test_calls_bounded_by_chunk_and_cover_every_row_once(self, monkeypatch):
         model = MajorityVoteModel(k=5, source=fair_source(seed=3, stream=7))
@@ -406,15 +413,104 @@ class TestSampleMatrix:
         model = MajorityVoteModel(k=3, source=fair_source(stream=top))
         # the last five stream ids are usable; one row more would wrap to stream 0
         last = sample_matrix(model, 4, 5)
-        assert last.bits[4].tolist() == model.sample(np.array([top + 4], dtype=np.uint64), 4)[0].tolist()
+        assert last[4].tolist() == model.sample(np.array([top + 4], dtype=np.uint64), 4)[0].tolist()
         with pytest.raises(ValueError, match="64 bits"):
             sample_matrix(model, 4, 6)
 
     def test_stationary_flag(self):
         maj = MajorityVoteModel(k=3, source=fair_source())
         ind = IndependentBitsModel(pv=PropensityVector([]), source=fair_source())
-        assert sample_matrix(maj, 4, 10).stationary
-        assert not sample_matrix(ind, 4, 10).stationary
+        assert sample_counts(maj, 4, 10).stationary
+        assert not sample_counts(ind, 4, 10).stationary
+
+
+def whole_sample_counts(bits, stationary, read_length):
+    """Reference counts of the whole (N, d) sample: BᵀB, and one bincount per window of the read length."""
+    pair_counts = bits.T.astype(np.int64) @ bits.astype(np.int64)
+    if not read_length:
+        return pair_counts, None, None, None
+    hists = [np.bincount(code, minlength=1 << read_length) for code in window_codes(bits, read_length)]
+    if not stationary:
+        return pair_counts, hists[0], hists[0], hists[0]
+    return pair_counts, hists[0], sum(hists), hists[-1]
+
+
+BATCHED_MODELS = [
+    MajorityVoteModel(k=3, source=fair_source(seed=41, stream=5)),
+    MajorityVoteModel(k=5, source=fair_source(seed=42), bias=Fraction(1, 3)),
+    IndependentBitsModel(pv=PropensityVector(["3/4", "1/3", "1", "1/5"], tail=TailPolicy.HALF),
+                         source=fair_source(seed=43, stream=9)),
+]
+
+
+class TestBatchInvariance:
+    """Counts summed batch by batch equal the counts of the whole sample, for any batch size."""
+
+    @pytest.mark.parametrize("model", BATCHED_MODELS, ids=["majority-k3", "majority-k5-third", "independent"])
+    @pytest.mark.parametrize("depth,read", [(20, MAX_BLOCK_LENGTH), (20, 5), (20, 0), (6, 6)])
+    # 250 rows of 7-row chunks: batches of one chunk, of three (a partial last batch of 19 rows), and one batch
+    @pytest.mark.parametrize("batch_chunks,batches", [(1, 36), (3, 12), (100, 1)])
+    def test_summed_counts_equal_the_whole_sample(self, monkeypatch, model, depth, read, batch_chunks, batches):
+        n = 250
+        whole = sample_matrix(model, depth, n)
+        monkeypatch.setattr(fiq.models, "SAMPLE_CHUNK_BITS", 7 * model.generating_bits(depth))
+        monkeypatch.setattr(fiq.models, "SAMPLE_BATCH_CHUNKS", batch_chunks)
+        drawn = []
+        real = fiq.models.sample_matrix
+
+        def recording(m, d, rows, out=None):
+            drawn.append(rows)
+            return real(m, d, rows, out)
+
+        monkeypatch.setattr(fiq.models, "sample_matrix", recording)
+        s = count_rows(sample_batches(model, depth, n), depth, model.stationary, read)
+        assert drawn == [min(7 * batch_chunks, n - start) for start in range(0, n, 7 * batch_chunks)]
+        assert len(drawn) == batches
+        pair_counts, first, pooled, last = whole_sample_counts(whole, model.stationary, read)
+        assert (s.n_samples, s.depth, s.read_length, s.stationary) == (n, depth, read, model.stationary)
+        assert s.pair_counts.dtype == np.int64 and np.array_equal(s.pair_counts, pair_counts)
+        if read:
+            assert s.first_window.dtype == s.pooled_windows.dtype == s.last_window.dtype == np.int64
+            assert np.array_equal(s.first_window, first)
+            assert np.array_equal(s.pooled_windows, pooled)
+            assert np.array_equal(s.last_window, last)
+            for length in range(1, read + 1):
+                got = s.window_counts(length)
+                reference = whole_sample_counts(whole, model.stationary, length)
+                assert np.array_equal(got[0], reference[1]) and np.array_equal(got[1], reference[2])
+
+    def test_batches_are_read_only_views_of_one_buffer(self, monkeypatch):
+        model, depth, n = BATCHED_MODELS[0], 9, 103
+        monkeypatch.setattr(fiq.models, "SAMPLE_CHUNK_BITS", 5 * model.generating_bits(depth))
+        monkeypatch.setattr(fiq.models, "SAMPLE_BATCH_CHUNKS", 4)  # 20-row batches: 103 rows end in 3
+        batches, copies = [], []
+        for bits in sample_batches(model, depth, n):
+            assert bits.shape[1] == depth and not bits.flags.writeable
+            batches.append(bits)
+            copies.append(bits.copy())
+        assert [len(b) for b in copies] == [20] * 5 + [3]
+        assert all(np.shares_memory(batches[0], b) for b in batches)  # the next batch overwrites a kept one
+        assert np.array_equal(np.vstack(copies), sample_matrix(model, depth, n))
+
+    @pytest.mark.parametrize("model", BATCHED_MODELS[::2], ids=["majority-k3", "independent"])
+    @pytest.mark.parametrize("read,length", [(0, 1), (5, 6), (16, 17), (16, 20)])
+    def test_window_counts_past_the_read_length_raise_one_line(self, model, read, length):
+        s = count_rows(sample_batches(model, 20, 300), 20, model.stationary, read)
+        with pytest.raises(ValueError) as raised:
+            s.window_counts(length)
+        message = str(raised.value)
+        assert message == f"window length {length} is not in 1 .. the read length {read}"
+        assert "\n" not in message
+
+    @pytest.mark.parametrize("depth,read", [(4, 5), (20, 21), (24, 21), (4, -1)])
+    def test_read_length_is_checked_before_the_first_batch(self, monkeypatch, depth, read):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("a batch was drawn before the read length was checked")
+
+        monkeypatch.setattr(fiq.models, "sample_matrix", no_sampling)
+        model = BATCHED_MODELS[0]
+        with pytest.raises(ValueError, match=f"read length {read} is not in 0 .. min"):
+            count_rows(sample_batches(model, depth, 10), depth, model.stationary, read)
 
 
 class TestReadersIgnoreLayout:
@@ -424,19 +520,20 @@ class TestReadersIgnoreLayout:
         depth = 14
         # five rows per pair_counts chunk and per length-14 window_codes chunk: 1003 rows end in partial chunks
         monkeypatch.setattr(fiq.models, "SAMPLE_CHUNK_BITS", 5 * depth + 3)
-        columns = sample_matrix(MajorityVoteModel(k=3, source=fair_source(seed=21)), depth, n).bits
+        columns = sample_matrix(MajorityVoteModel(k=3, source=fair_source(seed=21)), depth, n)
         rows = np.ascontiguousarray(columns)
         assert columns.T.flags.c_contiguous and rows.flags.c_contiguous and not columns.flags.c_contiguous
-        a, b = (SampleMatrix(bits=bits, stationary=stationary) for bits in (rows, columns))
-        assert np.array_equal(a.pair_counts, rows.T.astype(np.int64) @ rows)
-        assert np.array_equal(a.pair_counts, b.pair_counts)
-        for length in (depth, 9, 3, 1, 12):  # shorter lengths read the cache, then a longer one refills it
-            for x, y in zip(a.window_counts(length), b.window_counts(length)):
-                assert np.array_equal(x, y)
+        for read in (depth, 12):
+            a, b = (count_rows([bits], depth, stationary, read) for bits in (rows, columns))
+            assert np.array_equal(a.pair_counts, rows.T.astype(np.int64) @ rows)
+            assert np.array_equal(a.pair_counts, b.pair_counts)
+            for length in (read, 9, 3, 1):
+                for x, y in zip(a.window_counts(length), b.window_counts(length)):
+                    assert np.array_equal(x, y)
         for length in (1, 5, depth):
             c_codes, f_codes = ([code.copy() for code in window_codes(bits, length)] for bits in (rows, columns))
             assert len(c_codes) == depth - length + 1 and np.array_equal(c_codes, f_codes)
-        assert prefix_counts(a) == prefix_counts(b)
+        assert np.array_equal(prefix_values(rows), prefix_values(columns))
 
 
 class TestGeneratingBitsCount:
@@ -509,9 +606,9 @@ class TestExactWindowJoint:
         model = MajorityVoteModel(k=3, source=fair_source(seed=12))
         s = sample_matrix(model, 2, 40_000)
         for outcome, p in dist.items():
-            f = ((s.bits[:, 0] == outcome[0]) & (s.bits[:, 1] == outcome[1])).mean()
+            f = ((s[:, 0] == outcome[0]) & (s[:, 1] == outcome[1])).mean()
             pf = float(p)
-            assert abs(f - pf) <= 3 * math.sqrt(pf * (1 - pf) / s.n_samples)
+            assert abs(f - pf) <= 3 * math.sqrt(pf * (1 - pf) / len(s))
 
 
 class TestPrefixWeights:

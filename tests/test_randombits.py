@@ -77,8 +77,8 @@ class TestKnownAnswers:
         streams = np.arange(7, 7 + 300, dtype=np.uint64)
         contiguous = replace(model, source=ContiguousSource(**asdict(model.source)))
         assert np.array_equal(model.sample(streams, 9), contiguous.sample(streams, 9))
-        bits = sample_matrix(model, 9, 300).bits
-        assert bits.T.flags.c_contiguous and np.array_equal(bits, sample_matrix(contiguous, 9, 300).bits)
+        bits = sample_matrix(model, 9, 300)
+        assert bits.T.flags.c_contiguous and np.array_equal(bits, sample_matrix(contiguous, 9, 300))
 
 
 class TestRandomBitSource:

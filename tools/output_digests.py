@@ -13,8 +13,10 @@ The command set is taken from this checkout, so both runs see the same argv:
   and --threads 1 and 2;
 - the commands of every bench/workloads.py workload (the k=11 spec included),
   at seeds 1 and 2;
-- a few edge cases: sampled arith on the last 64-bit streams, and exact arith
-  without --seed on a model that carries its own;
+- a few edge cases: sampled arith on the last 64-bit streams, exact arith
+  without --seed on a model that carries its own, and measure runs whose
+  statistics are summed over several sampling batches (a partial last one,
+  many pooled windows, a non-stationary model) or over one batch of 300 rows;
 - a few malformed inputs.
 """
 
@@ -37,6 +39,7 @@ from workloads import PRESETS, WORKLOADS  # noqa: E402
 
 SEEDS = ("1", "2")
 MAJORITY_K3 = json.dumps({"type": "majority", "k": 3})
+INDEPENDENT_BIASED = json.dumps({"type": "independent", "pv": {"prefix": ["3/4", "1/3", "3/4"], "tail": "half"}})
 SAMPLE = ["sample", "--model", MAJORITY_K3, "--depth", "4", "--samples", "5"]
 ARITH = ["arith", "--model", MAJORITY_K3, "--depth", "4"]
 LAST_STREAMS = 200_000  # three batches of sampled prefix counts at k=3, d=12
@@ -46,6 +49,13 @@ EDGES = {
                                   "--stream", str((1 << 64) - LAST_STREAMS)],
     "arith-exact-document-seed": ["arith", "--model", json.dumps({"type": "majority", "k": 3, "seed": 5}),
                                   "--constant", "3", "--depth", "6"],
+    # k=3, d=24: 40 320 rows a batch, so 150 001 rows are three full batches and a partial one; 9 windows of 16 bits
+    "measure-batches-pooled-windows": ["measure", "--model", MAJORITY_K3, "--depth", "24", "--samples", "150001",
+                                       "--blocks", "16", "--seed", "1"],
+    "measure-batches-independent": ["measure", "--model", INDEPENDENT_BIASED, "--depth", "20",
+                                    "--samples", "120001", "--seed", "1"],
+    "measure-one-batch-300-rows": ["measure", "--model", MAJORITY_K3, "--depth", "16", "--samples", "300",
+                                   "--blocks", "12", "--seed", "1"],
 }
 MALFORMED = {
     "no-subcommand": [],

@@ -105,14 +105,17 @@ def _check_at_least_one(args, *flags: str) -> None:
 def cmd_sample(args) -> int:
     _check_at_least_one(args, "depth", "samples")
     model = _load_model(args)
-    bits = sample_matrix(model, args.depth, args.samples)
     out = _outdir(args) / "samples.csv"
-    # The CSV body as bytes: digit, comma, ..., digit, newline on each row.
-    body = np.full((args.samples, 2 * args.depth), ord(","), dtype=np.uint8)
-    np.add(bits, ord("0"), out=body[:, 0::2])
-    body[:, -1] = ord("\n")
-    header = ",".join(f"bit_{j + 1}" for j in range(args.depth)) + "\n"
-    _write_atomic(out, b"".join((header.encode(), body)))  # one copy of the body's buffer
+    header = (",".join(f"bit_{j + 1}" for j in range(args.depth)) + "\n").encode()
+    # The whole file in one buffer; each row is d (digit, comma) byte pairs, the last comma a newline.
+    data = np.zeros(len(header) + 2 * args.depth * args.samples, dtype=np.uint8)
+    data[:len(header)] = np.frombuffer(header, dtype=np.uint8)
+    body = data[len(header):].reshape(args.samples, 2 * args.depth)
+    sample_matrix(model, args.depth, args.samples, out=body[:, 0::2].T)  # each bit in its pair's low byte
+    pairs = body.view("<u2")
+    pairs += ord("0") | ord(",") << 8
+    pairs[:, -1] -= (ord(",") - ord("\n")) << 8
+    _write_atomic(out, data)
     print(out)
     return EXIT_OK
 

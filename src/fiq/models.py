@@ -287,14 +287,14 @@ def sample_chunk_rows(model: FiqModel, depth: int, n_samples: int) -> int:
 def sample_matrix(model: FiqModel, depth: int, n_samples: int, out: np.ndarray | None = None) -> np.ndarray:
     """N realizations on streams stream_id .. stream_id+N-1: a read-only (N, d) uint8 array, one row each.
 
-    Every stream id must fit in 64 bits.  Rows are drawn in the caller's thread,
-    in chunks of ``sample_chunk_rows`` rows, and written in place into the
-    column-major result, the view of a (d, N) C array: a new one, or the first
-    N columns of ``out``, a (d, >= N) uint8 array.  Every chunk's uniforms are
-    built and mixed in one work buffer, allocated once per call and dropped on
-    return, so peak memory is the result plus about 2 * 8 * SAMPLE_CHUNK_BITS
-    bytes, and no chunk allocates a temporary of its grid's size.  Rows are
-    pure functions of their stream id.
+    Every stream id must fit in 64 bits.  Rows are drawn in the caller's thread, in
+    chunks of ``sample_chunk_rows`` rows, and written in place into the column-major
+    result, the view of a (d, N) array: a new C array, or the first N columns of
+    ``out``, any (d, >= N) uint8 view, strided or not, which stays writable for the
+    caller.  Every chunk's uniforms are built and mixed in one work buffer,
+    allocated once per call and dropped on return, so peak memory is the result
+    plus about 2 * 8 * SAMPLE_CHUNK_BITS bytes, and no chunk allocates a temporary
+    of its grid's size.  Rows are pure functions of their stream id.
     """
     rows = sample_chunk_rows(model, depth, n_samples)
     base = model.source.stream_id

@@ -68,6 +68,9 @@ class TestSampleBytes:
     @pytest.mark.parametrize("depth,samples", [
         (1, 1), (1, 9), (4, 1), (63, 5),
         *((_shapes.randint(1, 40), _shapes.randint(1, 300)) for _ in range(4)),
+        # across sampling chunks (2^16 source bits each): 3 chunks with a partial last one and a
+        # 159-byte header, so the body's (digit, comma) pairs sit at odd addresses; 2 chunks of 1 bit
+        (24, 6000), (1, 70_000),
     ])
     def test_same_bytes_as_csv_writer(self, tmp_path, depth, samples):
         code = run_cli(["sample", "--model", json.dumps(MIXED_MODEL), "--depth", str(depth),
@@ -75,6 +78,19 @@ class TestSampleBytes:
         assert code == 0
         bits = sample_matrix(model_from_json(MIXED_MODEL, seed=3), depth, samples)
         assert (tmp_path / "samples.csv").read_bytes() == csv_writer_bytes(bits)
+
+    def test_peak_memory_is_the_file_once(self, tmp_path):
+        # the file's bytes once: holding the bits, a CSV body and the joined file besides takes 2.5x the file
+        tracemalloc.start()
+        try:
+            assert run_cli(["sample", "--model", json.dumps(MIXED_MODEL), "--depth", "24", "--samples", "200000",
+                            "--seed", "1"], tmp_path) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = (tmp_path / "samples.csv").stat().st_size
+        assert size == 159 + 2 * 24 * 200_000
+        assert peak < size + (2 << 20)  # 2 MiB: the header, one chunk's work buffer and small objects
 
     @pytest.mark.parametrize("step", ["write", "replace"])
     def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch, capsys, step):
@@ -596,10 +612,19 @@ class TestMalformedInput:
 
         monkeypatch.setattr(fiq.cli, "sample_matrix", out_of_memory)
         code = run_cli(["sample", "--model", json.dumps(MAJORITY_MODEL), "--depth", "4",
-                        "--samples", "1000000000000", "--seed", "1"], tmp_path)
+                        "--samples", "1000", "--seed", "1"], tmp_path)
         assert code == 2
         err = capsys.readouterr().err
         assert err == f"fiq: error: {message or 'MemoryError'}\n"
+        assert not (tmp_path / "samples.csv").exists()
+
+    def test_unallocatable_file_exits_2(self, tmp_path, capsys):
+        # 8 TB of CSV: the file's buffer cannot be allocated, so nothing is sampled or written
+        code = run_cli(["sample", "--model", json.dumps(MAJORITY_MODEL), "--depth", "4",
+                        "--samples", "1000000000000", "--seed", "1"], tmp_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("fiq: error: Unable to allocate ") and err.count("\n") == 1 and err.endswith("\n")
         assert not (tmp_path / "samples.csv").exists()
 
     def test_model_file_not_an_object_exits_2(self, tmp_path, capsys):

@@ -391,6 +391,24 @@ class TestSampleMatrix:
             bits[0, 0] = 1
         assert np.array_equal(s.pair_counts, bits.T.astype(np.int64) @ bits.astype(np.int64))
 
+    @pytest.mark.parametrize("model", [
+        MajorityVoteModel(k=3, source=fair_source(seed=8, stream=2)),
+        IndependentBitsModel(pv=PropensityVector(["3/4", "1/3"], tail=TailPolicy.HALF),
+                             source=fair_source(seed=8, stream=2)),
+    ], ids=["majority", "independent"])
+    def test_strided_out_gets_the_bits_of_a_fresh_call(self, monkeypatch, model):
+        depth, n = 7, 61
+        # five rows per chunk: 61 rows in 13 chunks, the last one partial
+        monkeypatch.setattr(fiq.models, "SAMPLE_CHUNK_BITS", 5 * model.generating_bits(depth))
+        buf = np.full((n + 3, 2 * depth), 7, dtype=np.uint8)
+        got = sample_matrix(model, depth, n, out=buf[:, 0::2].T)  # a (d, N + 3) view, strided both ways
+        assert np.shares_memory(got, buf) and not got.flags.writeable
+        assert np.array_equal(got, sample_matrix(model, depth, n))
+        assert (buf[:, 1::2] == 7).all() and (buf[n:] == 7).all()  # nothing outside the first N columns
+        assert buf.flags.writeable
+        buf[0, 0] = 2
+        assert got[0, 0] == 2
+
     def test_calls_bounded_by_chunk_and_cover_every_row_once(self, monkeypatch):
         model = MajorityVoteModel(k=5, source=fair_source(seed=3, stream=7))
         depth, n = 6, 50

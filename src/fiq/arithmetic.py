@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
-from .models import FiqModel, check_enumeration_depth, sample_batches, window_codes
+# bound here for bench/, which traces prefix_values as the sampled table lookup and needs it on arith workloads
+from .models import FiqModel, check_enumeration_depth, prefix_values  # noqa: F401
 
 DIGIT_PAIR_POSITIONS = (1, 2, 3, 4)
 
@@ -237,27 +236,9 @@ def scale_fiq_truncated(model: FiqModel, c: Fraction, depth: int) -> tuple[list[
     """Exact law of the determined digits of c * Q at depth d: ``(table, weights, denominator)``.
 
     ``scaled_digit_table(c, depth)``, checking the depth bound before any weight is built, then
-    ``model.prefix_weights(depth)``: the shape of a sample's table, ``sampled_prefix_counts`` and size.
+    ``model.prefix_weights(depth)``: the shape of a sample's table, prefix histogram and size.
     """
     table = scaled_digit_table(c, depth)
     weights, denominator = model.prefix_weights(depth)
     return table, weights, denominator
 
-
-def prefix_values(bits: np.ndarray) -> np.ndarray:
-    """Int64 value sum bits_j 2^(d-j) of each row of (N, d) bits, an index into a 2^d table: d is bounded."""
-    check_enumeration_depth(bits.shape[1])
-    return next(window_codes(bits, bits.shape[1]))
-
-
-def sampled_prefix_counts(model: FiqModel, depth: int, n_samples: int) -> list[int]:
-    """Rows of ``sample_matrix(model, depth, n_samples)`` at each prefix value 0 .. 2^d - 1, as Python ints.
-
-    Each ``sample_batches`` batch's prefix values are added into one 2^d histogram, with no Gram matrix, so peak
-    memory is the histogram plus one batch at any N.  Depth and stream range are checked before any batch.
-    """
-    check_enumeration_depth(depth)
-    counts = np.zeros(1 << depth, dtype=np.int64)
-    for bits in sample_batches(model, depth, n_samples):
-        np.add.at(counts, prefix_values(bits), 1)
-    return counts.tolist()

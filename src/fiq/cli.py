@@ -24,7 +24,7 @@ import numpy as np
 from .errors import FiqError
 from .estimators import MIN_MI_SAMPLES, correlation_report, info_report
 from .experiments import RUNNERS, ExperimentSpec, preset_spec
-from .arithmetic import digit_law, sampled_prefix_counts, scale_fiq_truncated, scaled_digit_table
+from .arithmetic import digit_law, scale_fiq_truncated, scaled_digit_table
 from .models import MAX_BLOCK_LENGTH, count_rows, model_from_json, sample_batches, sample_matrix
 from .randombits import check_u64
 from .rational import format_rational, parse_rational
@@ -162,7 +162,9 @@ def cmd_arith(args) -> int:
         if args.seed is None:
             raise FiqError("--seed is required in sample mode")
         table = scaled_digit_table(constant, args.depth)  # checks the depth bound before sampling
-        weights, total = sampled_prefix_counts(model, args.depth, args.samples), args.samples
+        # the first window at read length d is the prefix histogram; the record is not held past this line
+        weights, total = count_rows(sample_batches(model, args.depth, args.samples), args.depth, model.stationary,
+                                    args.depth).first_window.tolist(), args.samples
     law = digit_law(table, weights)
     del table, weights  # 2^depth entries each: not held while the entries and JSON text are built
     entries = []

@@ -29,7 +29,6 @@ from .arithmetic import (
     DIGIT_PAIR_POSITIONS,
     digit_pair_joints,
     leading_digits,
-    sampled_prefix_counts,
     scale_fiq_truncated,
     scaled_digit_table,
 )
@@ -216,7 +215,8 @@ def run_units_critique(spec: ExperimentSpec) -> ExperimentVerdict:
         threshold=0.0,
     )]
 
-    count_joints = digit_pair_joints(leading_digits(table, sampled_prefix_counts(model, spec.depth, spec.samples)))
+    sample = count_rows(sample_batches(model, spec.depth, spec.samples), spec.depth, model.stationary, spec.depth)
+    count_joints = digit_pair_joints(leading_digits(table, sample.first_window.tolist()))
 
     claims.append(_z_claim(
         "Monte Carlo digit-pair cells agree with the exact joint",

@@ -179,7 +179,8 @@ class SampleMatrix:
     ``stationary`` records whether the generating process is shift-invariant across bit positions (true for
     majority-vote models), which decides whether block statistics may pool across positions.  The window
     histograms count the big-endian codes of the first window, of every window and of the last one (the
-    first alone unless stationary) at the read length L, in 2^L bins.  At read length 0 no window is read.
+    first alone unless stationary) at the read length L, in 2^L bins.  At read length 0 no window is read;
+    at read length d the first window is the prefix histogram, which alone determines the pair counts.
     """
 
     n_samples: int
@@ -216,10 +217,13 @@ class SampleMatrix:
 def count_rows(batches: Iterable[np.ndarray], depth: int, stationary: bool, read_length: int) -> SampleMatrix:
     """The ``SampleMatrix`` of every row of ``batches``: (rows, depth) uint8 bit arrays in any layout.
 
-    The read length is checked before the first batch.  Each batch's counts are added in place into one Gram
-    matrix and the window histograms, so any split of the rows gives the same record, and peak memory is the
-    counts plus one batch.
+    Depth and read length are checked before the first batch.  Each batch's counts are added in place into the
+    window histograms, and below read length d into one row Gram matrix, so any split of the rows gives the same
+    record, and peak memory is the counts plus one batch.  At read length d the pair counts are superset sums
+    of the prefix histogram, taken once after the last batch.
     """
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
     if not 0 <= read_length <= min(depth, EXACT_ENUMERATION_MAX_DEPTH):
         raise ValueError(f"read length {read_length} is not in 0 .. min(depth {depth}, {EXACT_ENUMERATION_MAX_DEPTH})")
     gram = np.zeros((depth, depth), dtype=np.int64)
@@ -229,7 +233,7 @@ def count_rows(batches: Iterable[np.ndarray], depth: int, stationary: bool, read
     rows = max(1, SAMPLE_CHUNK_BITS // depth)  # float32 sums are exact below 2^24 rows
 
     def add(bits: np.ndarray) -> int:
-        for start in range(0, len(bits), rows):
+        for start in range(0, len(bits), rows) if read_length < depth else ():  # at L = d, from the histogram below
             chunk = bits[start:start + rows].astype(np.float32)
             gram[...] += (chunk.T @ chunk).astype(np.int64)
         for t, code in zip(range(windows), window_codes(bits, read_length) if read_length else ()):
@@ -241,7 +245,25 @@ def count_rows(batches: Iterable[np.ndarray], depth: int, stationary: bool, read
     n_samples = sum(map(add, batches))  # add's temporaries are freed before the next batch is drawn
     if windows > 1:  # the pooled histogram holds every later window, and now the first
         pooled += first
+    if read_length == depth:  # entry c of the superset sums counts the rows with every bit of c set
+        sums = first.copy()
+        for axis in range(depth):  # add each bit's 1-half into its 0-half
+            sums.reshape(1 << axis, 2, -1)[:, 0] += sums.reshape(1 << axis, 2, -1)[:, 1]
+        bit = 1 << np.arange(depth - 1, -1, -1)
+        gram = sums[bit[:, None] | bit]
     return SampleMatrix(n_samples, stationary, gram, read_length, first, pooled, last)
+
+
+def prefix_values(bits: np.ndarray) -> np.ndarray:
+    """Int64 value sum bits_j 2^(d-j) of each row of (N, d) bits, an index into a 2^d table: d is bounded."""
+    n, depth = bits.shape
+    check_enumeration_depth(depth)
+    weights = np.exp2(np.arange(depth - 1, -1, -1, dtype=np.float32))
+    values = np.empty(n, dtype=np.int64)
+    rows = max(1, SAMPLE_CHUNK_BITS // max(1, depth))
+    for start in range(0, n, rows):  # float32 sums below 2^24 are exact, and no value exceeds 20 bits
+        values[start:start + rows] = bits[start:start + rows].astype(np.float32) @ weights
+    return values
 
 
 def window_codes(bits: np.ndarray, length: int) -> Iterator[np.ndarray]:
@@ -251,18 +273,14 @@ def window_codes(bits: np.ndarray, length: int) -> Iterator[np.ndarray]:
     2^(length - 1 - m).  It is the same vector every time, overwritten in
     place with the next window, so a caller that keeps one must copy it.
 
-    The first window is one float32 product per row chunk; each later one
-    rolls the vector: drop the leaving bit, shift, add the next column.
+    The first window is the ``prefix_values`` of the first ``length`` columns;
+    each later one rolls the vector: drop the leaving bit, shift, add the next column.
     Length is at most EXACT_ENUMERATION_MAX_DEPTH: every code indexes a 2^length table.
     """
-    n, depth = bits.shape
+    depth = bits.shape[1]
     if not 1 <= length <= min(depth, EXACT_ENUMERATION_MAX_DEPTH):
         raise ValueError(f"window length {length} is not in 1 .. min(depth {depth}, {EXACT_ENUMERATION_MAX_DEPTH})")
-    weights = np.exp2(np.arange(length - 1, -1, -1, dtype=np.float32))
-    code = np.empty(n, dtype=np.int64)
-    rows = max(1, SAMPLE_CHUNK_BITS // length)
-    for start in range(0, n, rows):  # float32 sums below 2^24 are exact, and no code exceeds 20 bits
-        code[start:start + rows] = bits[start:start + rows, :length].astype(np.float32) @ weights
+    code = prefix_values(bits[:, :length])
     yield code
     for t in range(length, depth):
         code &= (1 << (length - 1)) - 1

@@ -2,26 +2,22 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import InvalidRationalError
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" (or a plain integer "p") into an exact Fraction."""
-    s = text.strip()
+    """Parse "p/q" (or a plain integer "p") into an exact Fraction: only "-", ASCII digits and one "/" are read."""
     try:
-        if "/" in s:
-            num_s, den_s = s.split("/", 1)
-            num, den = int(num_s), int(den_s)
-            if den == 0:
-                raise InvalidRationalError(f"zero denominator in rational {text!r}")
-            return Fraction(num, den)
-        return Fraction(int(s))
-    except InvalidRationalError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise InvalidRationalError(f"malformed rational {text!r}") from exc
+        if re.fullmatch(r"-?[0-9]+(/[0-9]+)?", text):
+            return Fraction(text)
+    except ZeroDivisionError:
+        raise InvalidRationalError(f"zero denominator in rational {text!r}") from None
+    except ValueError:  # more digits than int() reads
+        pass
+    raise InvalidRationalError(f"malformed rational {text!r}")
 
 
 def format_rational(value: Fraction) -> str:

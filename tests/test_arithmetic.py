@@ -28,7 +28,6 @@ from fiq.arithmetic import (
     leading_digits,
     prefix_to_interval,
     prefix_values,
-    sampled_prefix_counts,
     scale_by_constant,
     scale_fiq_truncated,
     scaled_digit_table,
@@ -39,6 +38,7 @@ from fiq.models import (
     IndependentBitsModel,
     MajorityVoteModel,
     count_rows,
+    sample_batches,
     sample_chunk_rows,
     sample_matrix,
 )
@@ -456,13 +456,18 @@ def with_stream(model, stream_id):
     return replace(model, source=replace(model.source, stream_id=stream_id))
 
 
-class TestSampledPrefixCounts:
-    """The streaming counter equals the prefix counts of the whole sample, with peak memory of one batch."""
+def prefix_histogram(model, depth, n):
+    """What sampled arith reads: the first window of ``count_rows`` at read length d, the prefix, as Python ints."""
+    return count_rows(sample_batches(model, depth, n), depth, model.stationary, depth).first_window.tolist()
+
+
+class TestPrefixHistogram:
+    """The prefix histogram summed batch by batch equals the whole sample's prefix counts, at one batch's peak."""
 
     @pytest.mark.parametrize("model", STREAMED_MODELS)
     @pytest.mark.parametrize("depth,n", [(1, 1), (1, 301), (12, 997), (20, 150)])
     def test_matches_counts_of_the_whole_sample(self, model, depth, n):
-        got = sampled_prefix_counts(model, depth, n)
+        got = prefix_histogram(model, depth, n)
         assert got == whole_sample_prefix_counts(model, depth, n)
         assert len(got) == 1 << depth and sum(got) == n
 
@@ -483,24 +488,24 @@ class TestSampledPrefixCounts:
             return real(m, d, rows, out)
 
         monkeypatch.setattr(fiq.models, "sample_matrix", recording)
-        assert sampled_prefix_counts(model, depth, n) == expected
+        assert prefix_histogram(model, depth, n) == expected
         batch = chunk_rows * batch_chunks
         assert batches == [(base + start, min(batch, n - start)) for start in range(0, n, batch)]
 
-    @pytest.mark.parametrize("model,depth,n,error", [
-        (with_stream(STREAMED_MODELS[1], TOP - 10), 4, 11, ValueError),  # one stream past 2^64
-        (STREAMED_MODELS[1], 21, 10, EnumerationBoundError),
-        (STREAMED_MODELS[4], 21, 10, EnumerationBoundError),
-        (STREAMED_MODELS[1], 0, 10, ValueError),
-        (STREAMED_MODELS[1], 4, 0, ValueError),
+    @pytest.mark.parametrize("model,depth,n,message", [
+        (with_stream(STREAMED_MODELS[1], TOP - 10), 4, 11, "do not fit in 64 bits"),  # one stream past 2^64
+        (STREAMED_MODELS[1], 21, 10, "read length 21 is not in 0 .. min"),
+        (STREAMED_MODELS[4], 21, 10, "read length 21 is not in 0 .. min"),
+        (STREAMED_MODELS[1], 0, 10, "depth must be >= 1, got 0"),
+        (STREAMED_MODELS[1], 4, 0, "n_samples must be >= 1"),
     ])
-    def test_bad_range_or_depth_raises_before_any_batch(self, monkeypatch, model, depth, n, error):
+    def test_bad_range_or_depth_raises_before_any_batch(self, monkeypatch, model, depth, n, message):
         def no_sampling(*args, **kwargs):
             raise AssertionError("a batch was drawn before the arguments were checked")
 
         monkeypatch.setattr(fiq.models, "sample_matrix", no_sampling)
-        with pytest.raises(error):
-            sampled_prefix_counts(model, depth, n)
+        with pytest.raises(ValueError, match=message):
+            prefix_histogram(model, depth, n)
 
     def test_peak_memory_does_not_grow_with_n(self, monkeypatch):
         model, depth = STREAMED_MODELS[1], 12
@@ -511,7 +516,7 @@ class TestSampledPrefixCounts:
         def peak(n):
             tracemalloc.start()
             try:
-                sampled_prefix_counts(model, depth, n)
+                prefix_histogram(model, depth, n)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

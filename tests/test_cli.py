@@ -11,7 +11,6 @@ from fractions import Fraction
 
 import pytest
 
-import fiq.arithmetic
 import fiq.cli
 import fiq.experiments
 import fiq.models
@@ -436,7 +435,7 @@ class TestMalformedInput:
             raise AssertionError("sampled before the depth bound was checked")
 
         monkeypatch.setattr(fiq.cli, "sample_matrix", no_sampling)
-        monkeypatch.setattr(fiq.arithmetic, "sample_batches", no_sampling)
+        monkeypatch.setattr(fiq.models, "sample_matrix", no_sampling)  # where every sampled row is drawn
         code = run_cli(["arith", "--mode", "sample", "--model", json.dumps(MAJORITY_MODEL),
                         "--constant", "3", "--depth", "21", "--samples", "1000", "--seed", "1"],
                        tmp_path)
@@ -477,7 +476,7 @@ class TestMalformedInput:
             raise AssertionError("sampled before the unspecified tail was checked")
 
         monkeypatch.setattr(fiq.experiments, "sample_batches", no_sampling)
-        monkeypatch.setattr(fiq.arithmetic, "sample_batches", no_sampling)
+        monkeypatch.setattr(fiq.models, "sample_matrix", no_sampling)  # where every sampled row is drawn
         spec = {"name": "units:unspecified-tail", "model": UNSPECIFIED_TAIL_MODEL,
                 "depth": 12, "samples": 1000, "constant": "3"}
         spec_path = tmp_path / "spec.json"
@@ -566,7 +565,7 @@ class TestMalformedInput:
 
         monkeypatch.setattr(fiq.cli, "sample_matrix", no_sampling)
         monkeypatch.setattr(fiq.cli, "sample_batches", no_sampling)
-        monkeypatch.setattr(fiq.arithmetic, "sample_batches", no_sampling)
+        monkeypatch.setattr(fiq.models, "sample_matrix", no_sampling)  # where every sampled row is drawn
         code = run_cli([*command, "--model", json.dumps(MAJORITY_MODEL), "--depth", depth,
                         "--samples", samples, "--seed", "1"], tmp_path)
         assert code == 2
@@ -661,10 +660,20 @@ class TestOneLineErrors:
         ([], "the following arguments are required: command"),
         ([*ARITH_ARGV, "--constant", "3/0"], "zero denominator in rational '3/0'"),
         ([*ARITH_ARGV, "--constant", "abc"], "malformed rational 'abc'"),
+        ([*ARITH_ARGV, "--constant", "1_0"], "malformed rational '1_0'"),
+        ([*ARITH_ARGV, "--constant", "\uff13"], "malformed rational '\uff13'"),
+        ([*ARITH_ARGV, "--constant", " 3 / 4"], "malformed rational ' 3 / 4'"),
+        ([*ARITH_ARGV, "--constant", "+3"], "malformed rational '+3'"),
+        ([*ARITH_ARGV, "--constant", "3/-4"], "malformed rational '3/-4'"),
+        ([*ARITH_ARGV, "--constant", "3" * 5000], "malformed rational '333"),
+        (["sample", "--model", json.dumps({"type": "majority", "k": 3, "bias": "1_0/30"}), "--depth", "4",
+          "--samples", "5", "--seed", "1"], "model field 'bias': malformed rational '1_0/30'"),
     ], ids=["seed-x", "seed-negative", "seed-2^64", "seed-underscore", "seed-arabic-indic-digit",
             "seed-leading-space", "seed-5000-digits", "experiment-seed-underscore", "stream-negative",
             "stream-2^64", "stream-underscore", "missing-model", "no-subcommand",
-            "constant-zero-denominator", "constant-malformed"])
+            "constant-zero-denominator", "constant-malformed", "constant-underscore", "constant-fullwidth-digit",
+            "constant-spaces", "constant-plus", "constant-negative-denominator", "constant-5000-digits",
+            "bias-underscore"])
     def test_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch, argv, reason):
         monkeypatch.chdir(tmp_path)
         try:

@@ -8,7 +8,6 @@ import pytest
 import fiq.arithmetic
 import fiq.experiments
 import fiq.models
-from fiq.arithmetic import sampled_prefix_counts
 from fiq.errors import EnumerationBoundError
 from fiq.experiments import (
     PRESETS,
@@ -216,7 +215,9 @@ class TestUnitsOnMajority:
     def test_soundness_claim_fails_on_one_wrong_digit(self, monkeypatch, corrupt):
         spec = replace(preset_spec("units-majority", "k3-x3", seed=1), samples=2000, depth=6)
         assert run_units_on_majority(spec).claims[0].passed
-        counts = sampled_prefix_counts(spec.model, spec.depth, spec.samples)
+        model = spec.model
+        counts = count_rows(sample_batches(model, spec.depth, spec.samples), spec.depth, model.stationary,
+                            spec.depth).first_window
         real = fiq.experiments.scaled_digit_table
         table = real(spec.constant, spec.depth)
         v = next(v for v, entry in enumerate(table) if counts[v] and entry is not None and entry[1])

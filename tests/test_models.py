@@ -133,11 +133,11 @@ class TestModels:
 
     def test_json_rational_takes_only_strings(self):
         assert json_rational("3/4", "bias") == Fraction(3, 4)
-        assert json_rational(" 3 ", "bias") == 3
+        assert json_rational("-3", "bias") == -3
         for bad in (0.1, 1, True, None, ["3/4"]):
             with pytest.raises(ValueError, match='bias must be a rational string such as "3/4"'):
                 json_rational(bad, "bias")
-        for bad in ("3/0", "0.5", "x"):
+        for bad in ("3/0", "0.5", "x", " 3 ", "1_0", "\uff13", "+3", "3/-4"):  # ASCII digits only, no spaces
             with pytest.raises(ValueError, match="^bias: "):
                 json_rational(bad, "bias")
 
@@ -529,6 +529,52 @@ class TestBatchInvariance:
         model = BATCHED_MODELS[0]
         with pytest.raises(ValueError, match=f"read length {read} is not in 0 .. min"):
             count_rows(sample_batches(model, depth, 10), depth, model.stationary, read)
+
+    def test_depth_below_one_is_checked_before_the_first_batch(self):
+        def no_rows():
+            raise AssertionError("a batch was read before the depth was checked")
+            yield
+
+        for batches in (no_rows(), [np.zeros((3, 0), dtype=np.uint8)]):
+            with pytest.raises(ValueError) as raised:
+                count_rows(batches, 0, False, 0)
+            assert str(raised.value) == "depth must be >= 1, got 0"
+
+
+class TestPairCountsFromPrefixHistogram:
+    """At read length d the pair counts are superset sums of the prefix histogram, which equal BᵀB exactly."""
+
+    @pytest.mark.parametrize("model,depth,n", [
+        (MajorityVoteModel(k=1, source=fair_source(seed=51)), 12, 3001),
+        (MajorityVoteModel(k=3, source=fair_source(seed=52, stream=4)), 12, 3001),
+        (MajorityVoteModel(k=5, source=fair_source(seed=53)), 12, 3001),
+        (MajorityVoteModel(k=3, source=fair_source(seed=54), bias=Fraction(1, 3)), 12, 3001),
+        (IndependentBitsModel(pv=PropensityVector(["0"] * 7), source=fair_source(seed=55)), 7, 500),
+        (IndependentBitsModel(pv=PropensityVector(["1"] * 7), source=fair_source(seed=56)), 7, 500),
+        (IndependentBitsModel(pv=PropensityVector(["0", "1", "1", "0"], TailPolicy.HALF),
+                              source=fair_source(seed=57)), 9, 500),
+        # every one of the 64 bins is nonzero
+        (IndependentBitsModel(pv=PropensityVector([], TailPolicy.HALF), source=fair_source(seed=58)), 6, 4000),
+        # sparse: 300 rows in 2^20 bins
+        (MajorityVoteModel(k=3, source=fair_source(seed=59)), 20, 300),
+    ], ids=["majority-k1", "majority-k3", "majority-k5", "majority-k3-third", "independent-zeros",
+            "independent-ones", "independent-zeros-and-ones-half-tail", "every-bin", "sparse-depth-20"])
+    def test_equals_the_gram_of_the_sample(self, model, depth, n):
+        bits = sample_matrix(model, depth, n)
+        gram = bits.T.astype(np.int64) @ bits.astype(np.int64)
+        s = count_rows(sample_batches(model, depth, n), depth, model.stationary, depth)
+        assert s.pair_counts.dtype == np.int64 and s.pair_counts.shape == (depth, depth)
+        assert np.array_equal(s.pair_counts, gram)
+        # the row Gram one read length below agrees
+        assert np.array_equal(count_rows([bits], depth, model.stationary, depth - 1).pair_counts, gram)
+        hit = np.count_nonzero(s.first_window)
+        assert hit == 64 if depth == 6 else 0 < hit < 1 << depth  # every bin, or some left empty
+
+    def test_counts_past_float32_precision_stay_exact(self):
+        # the histogram-path twin of the row Gram's test: one column of 2^24 + 1 ones
+        s = count_rows([np.ones(((1 << 24) + 1, 1), dtype=np.uint8)], 1, False, 1)
+        assert s.first_window.tolist() == [0, (1 << 24) + 1]
+        assert s.pair_counts.tolist() == [[(1 << 24) + 1]]
 
 
 class TestReadersIgnoreLayout:

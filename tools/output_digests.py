@@ -16,7 +16,8 @@ The command set is taken from this checkout, so both runs see the same argv:
 - a few edge cases: sampled arith on the last 64-bit streams, exact arith
   without --seed on a model that carries its own, and measure runs whose
   statistics are summed over several sampling batches (a partial last one,
-  many pooled windows, a non-stationary model) or over one batch of 300 rows;
+  many pooled windows, a non-stationary model) or over one batch of 300 rows,
+  and prefix histograms at read length d that are sparse or full;
 - a few malformed inputs.
 """
 
@@ -56,6 +57,11 @@ EDGES = {
                                     "--samples", "120001", "--seed", "1"],
     "measure-one-batch-300-rows": ["measure", "--model", MAJORITY_K3, "--depth", "16", "--samples", "300",
                                    "--blocks", "12", "--seed", "1"],
+    # prefix histograms at read length d: sparse in 2^20 bins, and with all 4096 bins nonzero
+    "arith-sample-sparse-depth-20": ["arith", "--mode", "sample", "--model", MAJORITY_K3, "--constant", "3",
+                                     "--depth", "20", "--samples", "300", "--seed", "1"],
+    "measure-independent-every-bin": ["measure", "--model", INDEPENDENT_BIASED, "--depth", "12",
+                                      "--samples", "400000", "--seed", "1"],
 }
 MALFORMED = {
     "no-subcommand": [],
@@ -73,6 +79,8 @@ MALFORMED = {
                                    "--depth", "4", "--samples", "5", "--seed", "1"],
     "constant-zero-denominator": [*ARITH, "--constant", "3/0"],
     "constant-malformed": [*ARITH, "--constant", "abc"],
+    "constant-underscore": [*ARITH, "--constant", "1_0"],
+    "constant-fullwidth-digit": [*ARITH, "--constant", "\uff13"],
     "depth-zero": ["sample", "--model", MAJORITY_K3, "--depth", "0", "--samples", "5", "--seed", "1"],
     "threads-zero": [*SAMPLE, "--seed", "1", "--threads", "0"],
     "depth-and-threads-zero": ["sample", "--model", MAJORITY_K3, "--depth", "0", "--samples", "5", "--seed", "1",

@@ -249,15 +249,15 @@ def run_units_critique(spec: ExperimentSpec) -> ExperimentVerdict:
 
 
 class _RecordingSource(RandomBitSource):
-    """Bit source that records every (first, count) uniform request."""
+    """Bit source that records every (first, count) bit request."""
 
     def __post_init__(self) -> None:
         super().__post_init__()
         object.__setattr__(self, "requests", [])
 
-    def uniforms(self, stream_ids, first, count, work=None):
+    def bits(self, stream_ids, first, count, thresholds, work=None, out=None):
         self.requests.append((first, count))
-        return super().uniforms(stream_ids, first, count, work)
+        return super().bits(stream_ids, first, count, thresholds, work, out)
 
 
 def consumed_source_indices(model: FiqModel, depth: int) -> set[int]:

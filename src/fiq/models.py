@@ -15,7 +15,7 @@ overlap structure is unchanged by this re-indexing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import comb
 from typing import ClassVar, Iterable, Iterator, Mapping, Protocol, Sequence
@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DepthBeyondKnowledgeError, EnumerationBoundError
 from .jsonfields import json_int, json_rational, reject_unknown_fields, require_fields
 from .propensity import HALF, PropensityVector, TailPolicy, as_propensity
-from .randombits import RandomBitSource, check_u64, threshold_bits
+from .randombits import RandomBitSource, Thresholds, check_u64
 from .rational import format_rational
 
 ENUMERATION_BIT_BOUND = 24
@@ -45,11 +45,13 @@ class FiqModel(Protocol):
     source: RandomBitSource
     stationary: ClassVar[bool]  # shift-invariant across bit positions
 
-    def sample(self, stream_ids: np.ndarray, depth: int, work: np.ndarray | None = None) -> np.ndarray:
+    def sample(self, stream_ids: np.ndarray, depth: int, work: np.ndarray | None = None,
+               out: np.ndarray | None = None) -> np.ndarray:
         """First ``depth`` bits of every stream; shape (len(stream_ids), depth), uint8.
 
         ``work`` is a uint64 buffer of at least 2 * len(stream_ids) * generating_bits(depth) elements, handed to
-        the source's ``uniforms``.
+        the source's ``bits``.  The bits are written into ``out``, any uint8 (len(stream_ids), depth) array or
+        view, which is returned; without it, into a new array or a view of ``work``.
         """
 
     def generating_bits(self, depth: int) -> int:
@@ -85,15 +87,18 @@ class MajorityVoteModel:
     source: RandomBitSource
     bias: Fraction = HALF
     stationary: ClassVar[bool] = True
+    _thresholds: Thresholds = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.k < 1 or self.k % 2 == 0:
             raise ValueError(f"window length k must be an odd positive integer, got {self.k}")
         object.__setattr__(self, "bias", as_propensity(self.bias))
+        object.__setattr__(self, "_thresholds", Thresholds((), self.bias))
 
-    def sample(self, stream_ids: np.ndarray, depth: int, work: np.ndarray | None = None) -> np.ndarray:
+    def sample(self, stream_ids: np.ndarray, depth: int, work: np.ndarray | None = None,
+               out: np.ndarray | None = None) -> np.ndarray:
         k = self.k
-        r = threshold_bits(self.source.uniforms(stream_ids, 1, depth + k - 1, work), [self.bias])
+        r = self.source.bits(stream_ids, 1, depth + k - 1, self._thresholds, work)
         # Window sums by doubling: spans[:, j] sums the m source bits from j, for m = 1, 2, 4, ...,
         # and a length-k window is the spans that k's binary digits select, laid end to end.
         # Every partial sum is at most k, so k's dtype holds it exactly.
@@ -107,7 +112,9 @@ class MajorityVoteModel:
                 break
             spans = spans[:, :-m] + spans[:, m:]
             m *= 2
-        return (window_sums > k // 2).view(np.uint8)
+        bits = np.empty((len(stream_ids), depth), dtype=np.uint8) if out is None else out
+        np.greater(window_sums, k // 2, out=bits.view(np.bool_))
+        return bits
 
     def generating_bits(self, depth: int) -> int:
         _check_nonnegative(depth)
@@ -137,11 +144,17 @@ class IndependentBitsModel:
     pv: PropensityVector
     source: RandomBitSource
     stationary: ClassVar[bool] = False
+    _thresholds: Thresholds = field(init=False, repr=False, compare=False)
 
-    def sample(self, stream_ids: np.ndarray, depth: int, work: np.ndarray | None = None) -> np.ndarray:
-        # propensity_at rejects a depth past an unspecified tail before any uniform is drawn
-        propensities = [self.pv.propensity_at(j + 1) for j in range(depth)]
-        return threshold_bits(self.source.uniforms(stream_ids, 1, depth, work), propensities)
+    def __post_init__(self) -> None:
+        # a half tail's thresholds: sample rejects a depth past an unspecified tail before they are read
+        object.__setattr__(self, "_thresholds", Thresholds(self.pv.prefix, HALF))
+
+    def sample(self, stream_ids: np.ndarray, depth: int, work: np.ndarray | None = None,
+               out: np.ndarray | None = None) -> np.ndarray:
+        if depth > self.pv.prefix_length:  # propensity_at rejects a depth past an unspecified tail before any draw
+            self.pv.propensity_at(depth)
+        return self.source.bits(stream_ids, 1, depth, self._thresholds, work, out)
 
     def generating_bits(self, depth: int) -> int:
         _check_nonnegative(depth)
@@ -306,22 +319,27 @@ def sample_matrix(model: FiqModel, depth: int, n_samples: int, out: np.ndarray |
     """N realizations on streams stream_id .. stream_id+N-1: a read-only (N, d) uint8 array, one row each.
 
     Every stream id must fit in 64 bits.  Rows are drawn in the caller's thread, in
-    chunks of ``sample_chunk_rows`` rows, and written in place into the column-major
-    result, the view of a (d, N) array: a new C array, or the first N columns of
-    ``out``, any (d, >= N) uint8 view, strided or not, which stays writable for the
-    caller.  Every chunk's uniforms are built and mixed in one work buffer,
-    allocated once per call and dropped on return, so peak memory is the result
-    plus about 2 * 8 * SAMPLE_CHUNK_BITS bytes, and no chunk allocates a temporary
-    of its grid's size.  Rows are pure functions of their stream id.
+    chunks of ``sample_chunk_rows`` rows, and each chunk's bits are written by the
+    model straight into the column-major result, the view of a (d, N) array: a new
+    C array, or the first N columns of ``out``, any (d, >= N) uint8 view, strided
+    or not, which stays writable for the caller; any other ``out`` raises
+    ValueError before the first chunk.  Every chunk's uniforms are built and mixed
+    in one work buffer, allocated once per call and dropped on return, so peak
+    memory is the result plus about 2 * 8 * SAMPLE_CHUNK_BITS bytes, and no chunk
+    allocates a temporary of its grid's size.  Rows are pure functions of their
+    stream id.
     """
     rows = sample_chunk_rows(model, depth, n_samples)
+    if out is not None and (out.dtype != np.uint8 or out.ndim != 2 or out.shape[0] != depth
+                            or out.shape[1] < n_samples):
+        raise ValueError(f"out must be a uint8 array of shape ({depth}, >= {n_samples}), "
+                         f"got {out.dtype} {out.shape}")
     base = model.source.stream_id
     columns = np.empty((depth, n_samples), dtype=np.uint8) if out is None else out[:, :n_samples]
     work = np.empty(2 * min(rows, n_samples) * model.generating_bits(depth), dtype=np.uint64)
     for start in range(0, n_samples, rows):
         stop = min(start + rows, n_samples)
-        # the stream-minor bit source makes each chunk's transpose C-contiguous: depth runs copy in whole
-        columns[:, start:stop] = model.sample(np.arange(base + start, base + stop, dtype=np.uint64), depth, work).T
+        model.sample(np.arange(base + start, base + stop, dtype=np.uint64), depth, work, columns[:, start:stop].T)
     columns.flags.writeable = False
     return columns.T
 

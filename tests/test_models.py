@@ -25,7 +25,7 @@ from fiq.models import (
     window_codes,
 )
 from fiq.propensity import PropensityVector, TailPolicy
-from fiq.randombits import RandomBitSource, bias_threshold, threshold_bits
+from fiq.randombits import RandomBitSource, bias_threshold, uniform64_grid
 
 
 def fair_source(seed=11, stream=0):
@@ -34,7 +34,7 @@ def fair_source(seed=11, stream=0):
 
 def source_bits(source, stream_id, count, bias):
     """Reference: source bit n is 1 iff uniform n < bias_threshold(bias), on Python ints."""
-    u = source.uniforms(np.array([stream_id], dtype=np.uint64), 1, count)[0]
+    u = uniform64_grid(source.seed, np.array([stream_id], dtype=np.uint64), 1, count)[0]
     return [int(int(x) < bias_threshold(bias)) for x in u.tolist()]
 
 
@@ -48,7 +48,8 @@ def oracle_rows(model, depth, n):
     base = model.source.stream_id
     if isinstance(model, IndependentBitsModel):
         return [[int(int(x) < bias_threshold(model.pv.propensity_at(j + 1))) for j, x in enumerate(row)]
-                for row in model.source.uniforms(np.arange(base, base + n, dtype=np.uint64), 1, depth).tolist()]
+                for row in uniform64_grid(model.source.seed, np.arange(base, base + n, dtype=np.uint64), 1,
+                                          depth).tolist()]
     rows = []
     for sid in range(base, base + n):
         r = source_bits(model.source, sid, depth + model.k - 1, model.bias)
@@ -319,7 +320,7 @@ class TestSampleMatrix:
             mp.setattr(fiq.models, "SAMPLE_CHUNK_BITS", chunk_rows * model.generating_bits(depth))
             got = sample_matrix(model, depth, n)
         streams = np.arange(3, 3 + n, dtype=np.uint64)
-        r = threshold_bits(model.source.uniforms(streams, 1, depth + k - 1), [bias])
+        r = (uniform64_grid(model.source.seed, streams, 1, depth + k - 1) < bias_threshold(bias)).view(np.uint8)
         assert got.dtype == np.uint8 and got.shape == (n, depth)
         assert np.array_equal(got, cumsum_majority_bits(r, k))
 
@@ -338,11 +339,11 @@ class TestSampleMatrix:
         sample = MajorityVoteModel.sample
         starts = []
 
-        def failing_sample(self, stream_ids, depth, work=None):
+        def failing_sample(self, stream_ids, depth, work=None, out=None):
             starts.append(int(stream_ids[0]))
             if stream_ids[0] == failing_start:
                 raise error
-            return sample(self, stream_ids, depth, work)
+            return sample(self, stream_ids, depth, work, out)
 
         monkeypatch.setattr(MajorityVoteModel, "sample", failing_sample)
         model = MajorityVoteModel(k=3, source=fair_source())
@@ -409,6 +410,26 @@ class TestSampleMatrix:
         buf[0, 0] = 2
         assert got[0, 0] == 2
 
+    @pytest.mark.parametrize("out", [
+        np.zeros((7, 61), dtype=np.uint16),  # bits are written through a bool view, which a wider dtype scrambles
+        np.zeros((7, 61), dtype=np.bool_),
+        np.zeros((7, 61), dtype=np.int8),
+        np.zeros((8, 61), dtype=np.uint8),
+        np.zeros((6, 61), dtype=np.uint8),
+        np.zeros((7, 60), dtype=np.uint8),
+        np.zeros(7 * 61, dtype=np.uint8),
+        np.zeros((7, 61, 1), dtype=np.uint8),
+    ], ids=["uint16", "bool", "int8", "depth+1", "depth-1", "n-1", "1-d", "3-d"])
+    def test_out_is_checked_before_the_first_chunk(self, monkeypatch, out):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before out was checked")
+
+        monkeypatch.setattr(MajorityVoteModel, "sample", no_sampling)
+        model = MajorityVoteModel(k=3, source=fair_source(seed=8))
+        with pytest.raises(ValueError, match=r"^out must be a uint8 array of shape \(7, >= 61\), got ") as raised:
+            sample_matrix(model, 7, 61, out=out)
+        assert "\n" not in str(raised.value) and not out.any()
+
     def test_calls_bounded_by_chunk_and_cover_every_row_once(self, monkeypatch):
         model = MajorityVoteModel(k=5, source=fair_source(seed=3, stream=7))
         depth, n = 6, 50
@@ -416,9 +437,9 @@ class TestSampleMatrix:
         calls = []
         sample = MajorityVoteModel.sample
 
-        def recording_sample(self, stream_ids, d, work=None):
+        def recording_sample(self, stream_ids, d, work=None, out=None):
             calls.append(stream_ids.copy())
-            return sample(self, stream_ids, d, work)
+            return sample(self, stream_ids, d, work, out)
 
         monkeypatch.setattr(MajorityVoteModel, "sample", recording_sample)
         sample_matrix(model, depth, n)

@@ -5,9 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from fiq.models import IndependentBitsModel, MajorityVoteModel, sample_matrix
-from fiq.propensity import PropensityVector, TailPolicy
-from fiq.randombits import RandomBitSource, bias_threshold, threshold_bits, uniform64_grid
+from fiq.propensity import HALF, PropensityVector, TailPolicy
+from fiq.randombits import RandomBitSource, Thresholds, _bits_below, bias_threshold, uniform64_grid
 
 MASK = (1 << 64) - 1
 TOP = 1 << 64
@@ -15,7 +18,7 @@ TOP = 1 << 64
 
 def one_stream(src, first, count):
     """Uniforms u(first) .. u(first+count-1) of the source's own stream."""
-    return src.uniforms(np.array([src.stream_id], dtype=np.uint64), first, count)[0]
+    return uniform64_grid(src.seed, np.array([src.stream_id], dtype=np.uint64), first, count)[0]
 
 
 def splitmix64(z):
@@ -31,11 +34,31 @@ def oracle_uniform(seed, stream_id, n):
     return splitmix64((key + n * 0x9E3779B97F4A7C15) & MASK)
 
 
-class ContiguousSource(RandomBitSource):
-    """The same uniforms, handed out as a C-contiguous copy of the grid."""
+def last_xorshift(y):
+    """The finalizer's last step u = y ^ (y >> 31), on a Python int."""
+    return y ^ (y >> 31)
 
-    def uniforms(self, stream_ids, first, count, work=None):
-        return np.ascontiguousarray(super().uniforms(stream_ids, first, count, work))
+
+def before_last_xorshift(u):
+    """The y with last_xorshift(y) == u: three shifts of 31 pass bit 63, so two steps undo it."""
+    return u ^ (u >> 31) ^ (u >> 62)
+
+
+def bits_of_y(y_rows, row, tail=HALF):
+    """``_bits_below`` of a (count, n) grid of Python-int y values at the thresholds of ``row``, then ``tail``."""
+    y = np.array(y_rows, dtype=np.uint64)
+    return _bits_below(y, np.empty_like(y), Thresholds(row, tail), None).tolist()
+
+
+class ContiguousSource(RandomBitSource):
+    """The same bits, handed out as a C-contiguous copy, then copied into ``out`` when one is given."""
+
+    def bits(self, stream_ids, first, count, thresholds, work=None, out=None):
+        bits = np.ascontiguousarray(super().bits(stream_ids, first, count, thresholds, work))
+        if out is None:
+            return bits
+        out[...] = bits
+        return out
 
 
 class TestKnownAnswers:
@@ -108,23 +131,21 @@ class TestRandomBitSource:
         assert not np.array_equal(a, b)
 
     def test_uniform_rows_match_streams(self):
-        src = RandomBitSource(seed=21)
-        mat = src.uniforms(np.arange(4, dtype=np.uint64), 1, 32)
+        mat = uniform64_grid(21, np.arange(4, dtype=np.uint64), 1, 32)
         for i in range(4):
             assert np.array_equal(mat[i], one_stream(RandomBitSource(seed=21, stream_id=i), 1, 32))
 
     @pytest.mark.parametrize("bias", [Fraction(1, 2), Fraction(1, 4), Fraction(1, 3)])
     def test_empirical_bias(self, bias):
         n = 100_000
-        u = RandomBitSource(seed=13).uniforms(np.arange(n, dtype=np.uint64), 1, 1)
-        f = threshold_bits(u, [bias]).mean()
+        f = RandomBitSource(seed=13).bits(np.arange(n, dtype=np.uint64), 1, 1, Thresholds((), bias)).mean()
         p = float(bias)
         assert abs(f - p) <= 3 * math.sqrt(p * (1 - p) / n)
 
     def test_extreme_biases(self):
-        u = RandomBitSource(seed=1).uniforms(np.arange(4, dtype=np.uint64), 1, 16)
-        assert threshold_bits(u, [Fraction(1)]).all()
-        assert not threshold_bits(u, [Fraction(0)]).any()
+        src, streams = RandomBitSource(seed=1), np.arange(4, dtype=np.uint64)
+        assert src.bits(streams, 1, 16, Thresholds((), Fraction(1))).all()
+        assert not src.bits(streams, 1, 16, Thresholds((), Fraction(0))).any()
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -134,7 +155,9 @@ class TestRandomBitSource:
         with pytest.raises(ValueError):
             RandomBitSource(seed=0, stream_id=-1)
         with pytest.raises(ValueError):
-            threshold_bits(np.zeros((1, 1), dtype=np.uint64), [Fraction(3, 2)])
+            Thresholds((), Fraction(3, 2))
+        with pytest.raises(ValueError):
+            Thresholds([HALF, Fraction(-1, 2)], HALF)
 
     def test_threshold_is_exact_for_dyadic_bias(self):
         assert bias_threshold(Fraction(1, 2)) == 1 << 63
@@ -143,19 +166,25 @@ class TestRandomBitSource:
         assert bias_threshold(Fraction(0)) == 0
 
 
-class TestThresholdBits:
+class TestThresholds:
     PROPENSITIES = [Fraction(1), Fraction(0), Fraction(1, 3), Fraction(3, 4), Fraction(1, 2)]
 
-    @pytest.mark.parametrize("row", [PROPENSITIES, PROPENSITIES[1:], [Fraction(2, 3)]])
-    def test_matches_integer_oracle(self, row):
-        """Bit j of a row is int(u) < bias_threshold(q_j), compared on Python ints."""
-        u = RandomBitSource(seed=4).uniforms(np.arange(50, dtype=np.uint64), 1, 3 * len(row))
-        u = u.reshape(50, 3, len(row))  # the row runs along the last axis of any shape
-        got = threshold_bits(u, row)
-        assert got.dtype == np.uint8 and got.shape == u.shape
-        thresholds = [bias_threshold(q) for q in row]
-        expected = [[[int(int(x) < t) for x, t in zip(block, thresholds)] for block in rows]
-                    for rows in u.tolist()]
+    @pytest.mark.parametrize("row,tail", [
+        (PROPENSITIES, HALF),
+        (PROPENSITIES[1:], Fraction(1, 3)),
+        ([], Fraction(2, 3)),
+        ([Fraction(2, 3)], Fraction(1)),
+        ([Fraction(1, 2)] * 3, Fraction(0)),
+    ])
+    @pytest.mark.parametrize("first", [1, 7])
+    def test_matches_integer_oracle(self, row, tail, first):
+        """Bit j of a row is int(u) < bias_threshold(q_j), compared on Python ints, past the prefix too."""
+        streams, count = np.arange(50, dtype=np.uint64), 3 * len(row) + 2
+        got = RandomBitSource(seed=4).bits(streams, first, count, Thresholds(row, tail))
+        assert got.dtype == np.uint8 and got.shape == (50, count)
+        thresholds = [bias_threshold(q) for q in row] + [bias_threshold(tail)] * (count - len(row))
+        expected = [[int(int(x) < t) for x, t in zip(u, thresholds)]
+                    for u in uniform64_grid(4, streams, first, count).tolist()]
         assert got.tolist() == expected
 
     def test_uniforms_at_each_threshold(self):
@@ -163,6 +192,86 @@ class TestThresholdBits:
         thresholds = [bias_threshold(q) for q in row]
         # just below and at every threshold that fits in 64 bits, and the extremes
         values = sorted({v for t in thresholds for v in (t - 1, t) if 0 <= v < 1 << 64} | {0, (1 << 64) - 1})
-        u = np.array([[v] * len(row) for v in values], dtype=np.uint64)
+        y = [before_last_xorshift(v) for v in values]
+        assert [last_xorshift(x) for x in y] == values
         expected = [[int(v < t) for t in thresholds] for v in values]
-        assert threshold_bits(u, row).tolist() == expected
+        assert bits_of_y([y] * len(row), row) == expected
+        # each propensity as the tail of a request with no prefix
+        assert [bits_of_y([y], [], q) for q in row] == [[[b[j]] for b in expected] for j in range(len(row))]
+
+    @pytest.mark.parametrize("a", [1, 2, 3, 1 << 30, 3 << 29, (1 << 31) - 1])
+    def test_no_last_xorshift_at_a_multiple_of_2_to_the_33(self, a):
+        # q = a / 2^31 thresholds at t = a * 2^33: the last xorshift is skipped, and no bit changes
+        q, t = Fraction(a, 1 << 31), a << 33
+        assert bias_threshold(q) == t and Thresholds([q], q).full_mix == ()
+        ys = [t - 1, t, t + (1 << 31) - 1, t - (1 << 33), t + (1 << 33) - 1, t - (1 << 31), 0, (1 << 64) - 1]
+        ys = [y for y in ys if 0 <= y < 1 << 64]
+        expected = [[int(y < t)] for y in ys]
+        assert [[int(last_xorshift(y) < t)] for y in ys] == expected
+        assert bits_of_y([ys], [q], q) == expected
+
+    # 2^63 + 2^32 is a multiple of 2^32: below 2^63 those need no last xorshift either, but past it they do
+    @pytest.mark.parametrize("t,y", [((1 << 40) + 5, (1 << 40) + 4),
+                                     ((1 << 63) + (1 << 32), (1 << 63) + (1 << 32) - 1)])
+    def test_the_last_xorshift_is_needed_off_a_multiple_of_2_to_the_33(self, t, y):
+        # negative control: y < t, yet u = y ^ (y >> 31) >= t, so skipping the step would set a wrong bit
+        q = Fraction(t, 1 << 64)
+        assert bias_threshold(q) == t and y < t <= last_xorshift(y)
+        assert Thresholds([q], HALF).full_mix == (slice(0, 1),)
+        assert bits_of_y([[y, t - 1]], [q]) == [[0], [int(last_xorshift(t - 1) < t)]]
+
+    def test_runs_of_full_mix_and_certain_indices(self):
+        third, one = Fraction(1, 3), Fraction(1)
+        th = Thresholds([third, third, HALF, one, third, one, one], third)
+        assert th.full_mix == (slice(0, 2), slice(4, 5), slice(7, None))
+        assert th.certain == (slice(3, 4), slice(5, 7))
+        assert Thresholds([], one).certain == (slice(0, None),) and Thresholds([], one).full_mix == ()
+        assert th.head.dtype == np.uint64 and th.head[3, 0] == 0 and th.tail == bias_threshold(third)
+
+
+# every propensity class of the source: 0 and 1, thresholds at a multiple of 2^33 (1/2, 3/4, 2^-31,
+# 1 - 2^-31), and off one (1/3, 2^-32)
+KERNEL_PROPENSITIES = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(3, 4), Fraction(1, 3),
+                       Fraction(1, 1 << 31), Fraction(1, 1 << 32), Fraction((1 << 31) - 1, 1 << 31)]
+
+
+def compare_columns(u, thresholds):
+    """Reference bits u < t_j, column by column, as uint8; t = 2^64 compares true for every uniform."""
+    return np.stack([u[:, j] < t for j, t in enumerate(thresholds)], axis=1).view(np.uint8)
+
+
+class TestSamplingKernel:
+    """Sampled bits equal ``uniform64_grid(...) < t``, with the thresholding inside the bit source."""
+
+    @given(prefix=st.lists(st.sampled_from(KERNEL_PROPENSITIES), max_size=12), depth=st.integers(1, 20),
+           n=st.integers(1, 40), seed=st.integers(0, 2 ** 64 - 1))
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_independent_bits(self, prefix, depth, n, seed):
+        model = IndependentBitsModel(pv=PropensityVector(prefix), source=RandomBitSource(seed=seed, stream_id=5))
+        streams = np.arange(5, 5 + n, dtype=np.uint64)
+        expected = compare_columns(uniform64_grid(seed, streams, 1, depth),
+                                   [bias_threshold(model.pv.propensity_at(j + 1)) for j in range(depth)])
+        self.check_fresh_and_strided(model, streams, depth, expected)
+
+    @given(bias=st.sampled_from(KERNEL_PROPENSITIES), k=st.sampled_from([1, 3, 5, 7]), depth=st.integers(1, 20),
+           n=st.integers(1, 40), seed=st.integers(0, 2 ** 64 - 1))
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_majority_bits(self, bias, k, depth, n, seed):
+        model = MajorityVoteModel(k=k, source=RandomBitSource(seed=seed, stream_id=5), bias=bias)
+        streams = np.arange(5, 5 + n, dtype=np.uint64)
+        r = uniform64_grid(seed, streams, 1, depth + k - 1) < bias_threshold(bias)
+        windows = np.lib.stride_tricks.sliding_window_view(r, k, axis=1).sum(axis=2)
+        self.check_fresh_and_strided(model, streams, depth, (windows > k // 2).view(np.uint8))
+
+    @staticmethod
+    def check_fresh_and_strided(model, streams, depth, expected):
+        n = len(streams)
+        fresh = model.sample(streams, depth)
+        assert fresh.dtype == np.uint8 and np.array_equal(fresh, expected)
+        buf = np.full((2 * n, depth + 2), 7, dtype=np.uint8)
+        got = model.sample(streams, depth, out=buf[::2, 1:-1])  # strided both ways
+        assert np.shares_memory(got, buf) and np.array_equal(buf[::2, 1:-1], expected)
+        assert (buf[1::2] == 7).all() and (buf[:, [0, -1]] == 7).all()
+        cols = np.full((2 * depth, n + 1), 7, dtype=np.uint8)
+        assert np.array_equal(sample_matrix(model, depth, n, out=cols[::2]), expected)
+        assert np.array_equal(cols[::2, :n].T, expected) and (cols[1::2] == 7).all() and (cols[:, n] == 7).all()

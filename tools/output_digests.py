@@ -16,8 +16,9 @@ The command set is taken from this checkout, so both runs see the same argv:
 - a few edge cases: sampled arith on the last 64-bit streams, exact arith
   without --seed on a model that carries its own, and measure runs whose
   statistics are summed over several sampling batches (a partial last one,
-  many pooled windows, a non-stationary model) or over one batch of 300 rows,
-  and prefix histograms at read length d that are sparse or full;
+  many pooled windows, a non-stationary model, a non-dyadic majority bias) or
+  over one batch of 300 rows, prefix histograms at read length d that are
+  sparse or full, and sampled bits at thresholds on either side of 2^33;
 - a few malformed inputs.
 """
 
@@ -62,6 +63,13 @@ EDGES = {
                                      "--depth", "20", "--samples", "300", "--seed", "1"],
     "measure-independent-every-bin": ["measure", "--model", INDEPENDENT_BIASED, "--depth", "12",
                                       "--samples", "400000", "--seed", "1"],
+    # thresholds at 2^33 (the last xorshift skipped) and 2^32 (kept), 0, 2^64 and two others, over 26 chunks
+    "sample-threshold-boundaries": ["sample", "--model", json.dumps({"type": "independent", "pv": {
+        "prefix": ["1/2147483648", "1/4294967296", "0", "1", "1/3", "3/4"], "tail": "half"}}),
+        "--depth", "24", "--samples", "70000", "--seed", "1"],
+    # a non-dyadic majority bias, whose every source bit takes the whole mix, over three batches (the last partial)
+    "measure-majority-third-batches": ["measure", "--model", json.dumps({"type": "majority", "k": 3, "bias": "1/3"}),
+                                       "--depth", "16", "--samples", "150001", "--seed", "1"],
 }
 MALFORMED = {
     "no-subcommand": [],
